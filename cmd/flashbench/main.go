@@ -36,7 +36,7 @@
 //	flashbench -worker http://127.0.0.1:9355   # × N, any machines
 //
 // Workers take the experiment list from the coordinator; every other
-// result-affecting flag (-models, -budget, -branches, -iters, -learn) must
+// result-affecting flag (-models, -budget, -branches, -iters) must
 // match the coordinator's, which is enforced by a configuration fingerprint.
 //
 // Experiment ids: table1 table4 table6 table7 table8 table9 fig2 fig6 fig7
@@ -87,7 +87,6 @@ func runBench(args []string) error {
 	budget := fs.Duration("budget", 100*time.Millisecond, "per-window CP solve budget")
 	branches := fs.Int64("branches", 8000, "per-window CP branch budget")
 	opgParallel := fs.Int("opg-parallel", 0, "LC-OPG speculative window pipeline workers (0/1 = sequential); plans are byte-identical at any setting")
-	learn := fs.String("learn", "cdcl", "CP learning engine: cdcl, restart (legacy restart-scoped), or off; result-affecting, so it is part of the run fingerprint")
 	iters := fs.Int("iters", 10, "multi-model iterations for fig6")
 	jobs := fs.Int("jobs", 1, "experiments run concurrently; >1 multiplies with -workers and oversubscribes the CPU, which can starve wall-clock CP budgets and shift solver fallback rates")
 	workers := fs.Int("workers", 0, "sweep cells per experiment run concurrently (0 = GOMAXPROCS)")
@@ -132,11 +131,6 @@ func runBench(args []string) error {
 	}
 	if *coordAddr != "" && *workerURL != "" {
 		return fmt.Errorf("-coordinator and -worker are mutually exclusive")
-	}
-	switch *learn {
-	case "cdcl", "restart", "off":
-	default:
-		return fmt.Errorf("unknown -learn mode %q (want cdcl, restart, or off)", *learn)
 	}
 	if (*coordAddr != "" || *workerURL != "") && (*shardFlag != "" || *partialPath != "") {
 		return fmt.Errorf("coordinated mode replaces -shard/-partial: the coordinator partitions and merges by itself")
@@ -190,7 +184,6 @@ func runBench(args []string) error {
 	cfg.Iterations = *iters
 	cfg.Workers = *workers
 	cfg.OPGParallelism = *opgParallel
-	cfg.LearnMode = *learn
 	cfg.PlanCache = cache
 	if *modelsFlag != "" {
 		cfg.Models = strings.Split(*modelsFlag, ",")
@@ -206,7 +199,7 @@ func runBench(args []string) error {
 	}
 
 	if *coordAddr != "" {
-		fp := fingerprint(ids, *modelsFlag, *budget, *branches, *iters, *learn)
+		fp := fingerprint(ids, *modelsFlag, *budget, *branches, *iters)
 		return runCoordinator(r, ids, fp, coordinatorOpts{
 			addr:         *coordAddr,
 			seedCosts:    *seedCosts,
@@ -226,14 +219,13 @@ func runBench(args []string) error {
 			budget:      *budget,
 			branches:    *branches,
 			iters:       *iters,
-			learn:       *learn,
 		})
 	}
 
 	var runErr error
 	if *partialPath != "" {
 		// Shard mode: emit machine-readable rows for the merge step.
-		fp := fingerprint(ids, *modelsFlag, *budget, *branches, *iters, *learn)
+		fp := fingerprint(ids, *modelsFlag, *budget, *branches, *iters)
 		p, err := experiments.RunPartial(r, ids, sh, *jobs, fp)
 		if err == nil {
 			err = experiments.WritePartial(*partialPath, p)
@@ -282,11 +274,10 @@ func runBench(args []string) error {
 // by binaries with different solver generations. Concurrency knobs
 // (-jobs, -workers, -opg-parallel) and cache paths are excluded: they
 // change scheduling, not results (the speculative window pipeline commits
-// byte-identical plans at any worker count). -learn IS included: the
-// learning engine changes budget-bound search trajectories and hence plans.
-func fingerprint(ids []string, models string, budget time.Duration, branches int64, iters int, learn string) string {
-	return fmt.Sprintf("solver=%s exp=%s models=%s budget=%s branches=%d iters=%d learn=%s",
-		opg.SolverVersion, strings.Join(ids, ","), models, budget, branches, iters, learn)
+// byte-identical plans at any worker count).
+func fingerprint(ids []string, models string, budget time.Duration, branches int64, iters int) string {
+	return fmt.Sprintf("solver=%s exp=%s models=%s budget=%s branches=%d iters=%d",
+		opg.SolverVersion, strings.Join(ids, ","), models, budget, branches, iters)
 }
 
 // coordinatorOpts carries the -coordinator mode's flag values.
@@ -491,7 +482,6 @@ type workerOpts struct {
 	budget      time.Duration
 	branches    int64
 	iters       int
-	learn       string
 }
 
 // runWorkerMode pulls and executes cell batches from a coordinator. The
@@ -508,7 +498,7 @@ func runWorkerMode(r *experiments.Runner, cache *plancache.Cache, o workerOpts) 
 	for i, g := range grid.Groups {
 		ids[i] = g.ID
 	}
-	fp := fingerprint(ids, o.modelsFlag, o.budget, o.branches, o.iters, o.learn)
+	fp := fingerprint(ids, o.modelsFlag, o.budget, o.branches, o.iters)
 	name := o.name
 	if name == "" {
 		host, _ := os.Hostname()

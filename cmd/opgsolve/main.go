@@ -28,16 +28,7 @@ func main() {
 	chunkMB := flag.Int64("chunk", 1, "chunk size S in MB")
 	lambda := flag.Float64("lambda", 0.9, "objective weight λ")
 	parallel := flag.Int("parallel", 0, "speculative window pipeline workers (0/1 = sequential)")
-	learn := flag.String("learn", "cdcl", "CP learning engine: cdcl, restart (legacy restart-scoped), or off")
-	warm := flag.Bool("warm-recommit", false, "seed failed-speculation re-solves with learned nogoods (plan may differ from sequential)")
 	flag.Parse()
-
-	switch *learn {
-	case "cdcl", "restart", "off":
-	default:
-		fmt.Fprintf(os.Stderr, "opgsolve: unknown -learn mode %q (want cdcl, restart, or off)\n", *learn)
-		os.Exit(1)
-	}
 
 	spec, ok := models.ByAbbr(*model)
 	if !ok {
@@ -61,8 +52,6 @@ func main() {
 	cfg.ChunkSize = units.Bytes(*chunkMB) * units.MB
 	cfg.Lambda = *lambda
 	cfg.Parallelism = *parallel
-	cfg.LearnMode = *learn
-	cfg.WarmRecommit = *warm
 	cfg = opg.AdaptMPeak(cfg, g)
 
 	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
@@ -77,12 +66,12 @@ func main() {
 	fmt.Printf("Solve model:   %8.3f s\n", st.SolveTime.Seconds())
 	fmt.Printf("Solver status: %s (%d windows, %d branches, %dk wakes, %dk trail ops)\n",
 		st.Status, st.Windows, st.Branches, st.Wakes/1000, st.TrailOps/1000)
-	fmt.Printf("Learning:      %s: %d nogoods, %d restarts\n", *learn, st.Nogoods, st.Restarts)
+	fmt.Printf("Learning:      %d nogoods, %d restarts\n", st.Nogoods, st.Restarts)
 	fmt.Printf("Conflicts:     %d analyzed, %d backjumps, %d lits minimized\n",
 		st.Conflicts, st.Backjumps, st.MinimizedLits)
 	if cfg.Parallelism > 1 {
-		fmt.Printf("Pipeline:      %d speculative, %d recommitted of %d windows, %d nogoods imported\n",
-			st.Speculative, st.Recommitted, st.Windows, st.ImportedNogoods)
+		fmt.Printf("Pipeline:      %d speculative, %d recommitted of %d windows\n",
+			st.Speculative, st.Recommitted, st.Windows)
 	}
 	fmt.Printf("Fallbacks:     soft=%d preload=%d greedy=%d\n",
 		st.Fallbacks.SoftThreshold, st.Fallbacks.IncrementalPreload, st.Fallbacks.Greedy)

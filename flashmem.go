@@ -285,9 +285,9 @@ type PlanSummary struct {
 	SolverNogoods   int64 // learned CP nogoods (conflict-driven learning)
 	SolverRestarts  int64 // CP Luby restarts
 
-	// CDCL analysis counters (zero under restart-only or disabled learning):
-	// conflicts analyzed by the 1-UIP engine, non-chronological backjumps,
-	// and literals removed by self-subsumption minimization.
+	// CDCL analysis counters: conflicts analyzed by the 1-UIP engine,
+	// non-chronological backjumps, and literals removed by self-subsumption
+	// minimization.
 	SolverConflicts     int64
 	SolverBackjumps     int64
 	SolverMinimizedLits int64
@@ -298,12 +298,9 @@ type PlanSummary struct {
 	// outcome (both zero on sequential solves): windows committed straight
 	// from validated speculation vs windows re-solved after a failed
 	// validation. They are diagnostics — unlike the solver counters above
-	// they may vary run to run. ImportedNogoods counts the clauses warm
-	// recommits installed from doomed speculative solves (zero unless
-	// Config.WarmRecommit) and is equally scheduling-dependent.
+	// they may vary run to run.
 	SpeculativeWindows int
 	RecommittedWindows int
-	ImportedNogoods    int64
 
 	// RepairRung names the degradation-ladder rung that produced this plan
 	// after a device-condition event: "repaired" (incremental repair,
@@ -347,7 +344,6 @@ func (m *Model) Plan() PlanSummary {
 
 		SpeculativeWindows: p.Stats.Speculative,
 		RecommittedWindows: p.Stats.Recommitted,
-		ImportedNogoods:    p.Stats.ImportedNogoods,
 
 		RepairRung:            p.Stats.RepairRung,
 		RepairWindowsKept:     p.Stats.RepairWindowsKept,

@@ -54,11 +54,6 @@ type PlanCache interface {
 // Config.Parallelism is excluded for the same reason: the speculative
 // window pipeline commits byte-identical plans at any worker count, so
 // engines differing only in pipeline width share entries too.
-// Config.LearnMode IS included: it selects the CP learning engine (CDCL,
-// legacy restart-scoped, or none), which changes budget-bound search
-// trajectories and hence plans. Config.WarmRecommit is neither salted nor
-// cacheable — warm plans are timing-dependent, so Prepare bypasses the
-// cache entirely (see the cacheable computation in Prepare).
 func (e *Engine) PlanKey(g *graph.Graph) (string, bool) {
 	return e.planKeySalted(opg.SolverVersion, g)
 }
@@ -82,14 +77,14 @@ func (e *Engine) planKeySalted(solverVersion string, g *graph.Graph) (string, bo
 	h := sha256.Sum256([]byte(fmt.Sprintf(
 		"solver{%q}"+
 			"dev{%q|%q|%q|%d|%d|%g|%g|%g|%g|%g|%d|%d|%g}"+
-			"cfg{%d|%d|%g|%d|%d|%d|%g|%q}"+
+			"cfg{%d|%d|%g|%d|%d|%d|%g}"+
 			"fus{%d|%g|%d|%d}"+
 			"flags{%t|%t|%t}cap{%q}graph{%s}",
 		solverVersion,
 		d.Name, d.SoC, d.GPU, d.RAM, d.AppLimit,
 		float64(d.DiskBW), float64(d.UMBW), float64(d.TMBW), float64(d.CacheBW),
 		float64(d.Compute), d.SMs, d.MaxTexDim, float64(d.KernelLaunch),
-		c.ChunkSize, c.MPeak, c.Lambda, c.Window, c.SolveTimeout, c.MaxBranches, c.SoftThreshold, c.LearnMode,
+		c.ChunkSize, c.MPeak, c.Lambda, c.Window, c.SolveTimeout, c.MaxBranches, c.SoftThreshold,
 		f.MaxParts, f.Alpha, f.Rounds, f.SplitsPerRound,
 		e.opts.BaseFusion, e.opts.AdaptiveFusion, e.opts.AdjustPrefetch,
 		capKey, g.Fingerprint())))

@@ -130,11 +130,7 @@ func (e *Engine) Prepare(g *graph.Graph) (*Prepared, error) {
 	}
 	var key string
 	cacheable := false
-	// Warm-recommit plans are timing-dependent (which speculations fail, and
-	// what their doomed solves learned, varies run to run), so they are
-	// neither served from nor stored in the cache.
-	warm := e.opts.Config.WarmRecommit && e.opts.Config.Parallelism > 1
-	if e.opts.Cache != nil && !warm {
+	if e.opts.Cache != nil {
 		key, cacheable = e.PlanKey(g)
 		if cacheable {
 			if hit, ok := e.opts.Cache.Get(key); ok {

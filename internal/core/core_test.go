@@ -239,36 +239,3 @@ func TestPlanKeySolverVersionSalt(t *testing.T) {
 		t.Error("PlanKey does not use opg.SolverVersion as its salt")
 	}
 }
-
-// TestPlanKeyLearnModeSalt pins that the learning engine is part of the
-// plan key: budget-bound plans differ across engines, so a cached CDCL
-// plan must never be served to a restart-only or learning-off run.
-func TestPlanKeyLearnModeSalt(t *testing.T) {
-	g := smallTransformer()
-	keys := map[string]string{}
-	for _, mode := range []string{"cdcl", "restart", "off"} {
-		opts := fastOptions(device.OnePlus12())
-		opts.Config.LearnMode = mode
-		k, ok := NewEngine(opts).PlanKey(g)
-		if !ok {
-			t.Fatalf("LearnMode=%q: engine not fingerprintable", mode)
-		}
-		for other, ok := range keys {
-			if ok == k {
-				t.Errorf("LearnMode %q and %q share a plan key", mode, other)
-			}
-		}
-		keys[mode] = k
-	}
-
-	// The salt is the literal mode string, so "" (the default, same engine
-	// as "cdcl") may key separately from the explicit spelling — a
-	// conservative cache miss, never a wrong hit. What must not happen is
-	// the default colliding with a genuinely different engine.
-	optsDefault := fastOptions(device.OnePlus12())
-	optsDefault.Config.LearnMode = ""
-	kd, _ := NewEngine(optsDefault).PlanKey(g)
-	if kd == keys["restart"] || kd == keys["off"] {
-		t.Error("default LearnMode shares a key with a different engine")
-	}
-}

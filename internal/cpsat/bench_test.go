@@ -133,7 +133,7 @@ func buildContendedKnapsack(nw, nl, maxChunks int, seed int64) *Model {
 // constant conflict pressure (1-UIP analysis + backjumping included).
 func BenchmarkKnapsackContended70B(b *testing.B) {
 	benchSolve(b, func() *Model { return buildContendedKnapsack(24, 16, 24, 3) },
-		Options{Learn: true, MaxBranches: 4000})
+		Options{MaxBranches: 4000})
 }
 
 func onesBench(n int) []int64 {

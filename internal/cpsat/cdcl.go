@@ -1,8 +1,7 @@
 // Conflict-driven clause learning over bound literals.
 //
-// This file is the CDCL engine selected by Options.Learn (without
-// RestartOnly): an iterative branch-and-bound loop in which every
-// propagation records its reason on the trail, every conflict is resolved
+// This file is the search: an iterative branch-and-bound loop in which
+// every propagation records its reason on the trail, every conflict is resolved
 // into a first-UIP bound-literal nogood (Σ-style lazy clause generation:
 // linear rows, implications, and nogoods each explain the tightenings they
 // forced), the nogood is minimized by self-subsumption against the
@@ -25,10 +24,10 @@ import (
 	"sort"
 )
 
-// solveCDCL runs the iterative CDCL search loop. It reports whether the
-// search completed (proved optimality or infeasibility); false with
+// search runs the iterative CDCL branch-and-bound loop. It reports whether
+// the search completed (proved optimality or infeasibility); false with
 // s.timedOut means a budget expired.
-func (s *searcher) solveCDCL() bool {
+func (s *searcher) search() bool {
 	for {
 		if s.expired() {
 			return false
@@ -53,7 +52,7 @@ func (s *searcher) solveCDCL() bool {
 			}
 			continue
 		}
-		v := s.pickBranchCDCL()
+		v := s.pickBranch()
 		if v < 0 {
 			// All fixed: feasible leaf (the objective row propagated to
 			// fixpoint, so with an incumbent this strictly improves on it).
@@ -71,7 +70,7 @@ func (s *searcher) solveCDCL() bool {
 			continue
 		}
 		s.branches++
-		l := s.decisionLitCDCL(v)
+		l := s.decisionLit(v)
 		s.levelStart = append(s.levelStart, int32(len(s.trail)))
 		s.level++
 		s.curReason = reasonDecision
@@ -124,10 +123,11 @@ func (s *searcher) analyzeAndJump() bool {
 	return s.installLearned(lits, pure)
 }
 
-// pickBranchCDCL selects the branching variable: most-constrained first
+// pickBranch selects the branching variable: most-constrained first
 // (smallest span), conflict activity as the tie-break above watcher
-// degree — the same heuristic the restart-only engine uses.
-func (s *searcher) pickBranchCDCL() int {
+// degree. The small-domain dive is what makes branch budgets productive on
+// wide windows, while activity steers equals toward contended columns.
+func (s *searcher) pickBranch() int {
 	branch := -1
 	var bestSpan int64 = int64(^uint64(0) >> 1)
 	var bestDeg int32 = -1
@@ -154,10 +154,11 @@ func (s *searcher) pickBranchCDCL() int {
 	return branch
 }
 
-// decisionLitCDCL picks the objective-preferred endpoint of v's domain as
-// the decision literal (the greedy dive; the refutation of the endpoint is
-// learned, not enumerated).
-func (s *searcher) decisionLitCDCL(v int) lit {
+// decisionLit picks the objective-preferred endpoint of v's domain as the
+// decision literal (the greedy dive; the refutation of the endpoint is
+// learned, not enumerated). Minimization prefers small values under a
+// non-negative coefficient and large ones under a negative coefficient.
+func (s *searcher) decisionLit(v int) lit {
 	if s.objCoef[v] < 0 {
 		return lit{v: int32(v), ge: true, bound: s.hi[v]}
 	}
@@ -813,11 +814,8 @@ func (s *searcher) installImports(imports []Nogood) bool {
 }
 
 // exportNogoods converts the surviving pure clauses (plus pure root-unit
-// assertions) to the public form. Only the CDCL engine exports.
+// assertions) to the public form.
 func (s *searcher) exportNogoods() []Nogood {
-	if !s.cdcl {
-		return nil
-	}
 	var out []Nogood
 	for _, l := range s.unitExports {
 		out = append(out, Nogood{Lits: []Lit{{Var: Var(l.v), Ge: l.ge, Bound: l.bound}}})

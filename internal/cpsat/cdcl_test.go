@@ -11,10 +11,10 @@ import (
 // level, and self-subsumption minimization can be asserted literal by
 // literal against conflict graphs worked out on paper.
 
-// newCDCL builds a searcher in CDCL mode and runs root propagation.
+// newCDCL builds a searcher and runs root propagation.
 func newCDCL(t *testing.T, m *Model) *searcher {
 	t.Helper()
-	s := newSearcher(m, Options{Learn: true})
+	s := newSearcher(m, Options{})
 	if s.rootInfeasible || !s.propagateRoot() {
 		t.Fatal("hand-built model conflicted at the root")
 	}
@@ -233,7 +233,7 @@ func pigeonModel(n int) *Model {
 // be accepted (ImportedNogoods > 0) with the verdict unchanged.
 func TestInfeasibleRefutationExportsAndTransfers(t *testing.T) {
 	m := pigeonModel(5)
-	res := m.Solve(Options{Learn: true})
+	res := m.Solve(Options{})
 	if res.Status != Infeasible {
 		t.Fatalf("PHP(5,4) status %v, want Infeasible", res.Status)
 	}
@@ -248,7 +248,7 @@ func TestInfeasibleRefutationExportsAndTransfers(t *testing.T) {
 	if !ImportCompatible(m, m2) {
 		t.Fatal("identical models must be import-compatible")
 	}
-	res2 := m2.Solve(Options{Learn: true, Import: res.Learned})
+	res2 := m2.Solve(Options{Import: res.Learned})
 	if res2.Status != Infeasible {
 		t.Fatalf("re-solve with imports: status %v, want Infeasible", res2.Status)
 	}
@@ -268,7 +268,8 @@ func TestInfeasibleRefutationExportsAndTransfers(t *testing.T) {
 // literal simultaneously must be infeasible — if an incumbent-derived
 // (impure) clause ever leaked through the export filter, some clause
 // would only be valid under the objective bound and this check would
-// find a witness.
+// find a witness. The re-proof runs on the fixpoint reference, not on the
+// engine under test, so a CDCL bug cannot vouch for its own clauses.
 func TestExportedNogoodsImpliedByHardConstraints(t *testing.T) {
 	build := func(withObj bool) *Model {
 		m := NewModel()
@@ -289,7 +290,7 @@ func TestExportedNogoodsImpliedByHardConstraints(t *testing.T) {
 		return m
 	}
 
-	res := build(true).Solve(Options{Learn: true})
+	res := build(true).Solve(Options{})
 	if res.Status != Optimal {
 		t.Fatalf("status %v, want Optimal", res.Status)
 	}
@@ -305,18 +306,17 @@ func TestExportedNogoodsImpliedByHardConstraints(t *testing.T) {
 				m.AddLinearLE([]Var{Var(l.Var)}, []int64{1}, l.Bound)
 			}
 		}
-		if got := m.Solve(Options{}); got.Status != Infeasible {
+		if got := refSolve(m, Options{}); got.Status != Infeasible {
 			t.Fatalf("exported nogood %d (%v) is not implied by the hard constraints: %v",
 				i, ng.Lits, got.Status)
 		}
 	}
 }
 
-// TestImportCompatibleDirection pins the compatibility relation the OPG
-// pipeline relies on: imports flow from a looser model to a uniformly
-// tighter one (the speculative snapshot is always at least as loose as
-// the true post-commit state), never the reverse, and never across
-// structural changes.
+// TestImportCompatibleDirection pins the compatibility relation
+// warm-started plan repair relies on: imports flow from a looser model to
+// a uniformly tighter one, never the reverse, and never across structural
+// changes.
 func TestImportCompatibleDirection(t *testing.T) {
 	build := func(cap int64, hi int64) *Model {
 		m := NewModel()
@@ -366,7 +366,7 @@ func TestImportInstallationFilter(t *testing.T) {
 	// ¬(a ≥ 0 ∧ b ≥ 1): a ≥ 0 always holds, so the clause reduces to the
 	// unit ¬(b ≥ 1) and pins b to 0 at the root.
 	m, a, b := build()
-	res := m.Solve(Options{Learn: true, Import: []Nogood{{Lits: []Lit{
+	res := m.Solve(Options{Import: []Nogood{{Lits: []Lit{
 		{Var: a, Ge: true, Bound: 0},
 		{Var: b, Ge: true, Bound: 1},
 	}}}})
@@ -383,7 +383,7 @@ func TestImportInstallationFilter(t *testing.T) {
 	// ¬(a ≥ 3 ∧ b ≥ 1): a ≥ 3 is outside a's domain, the conjunction can
 	// never hold, and the clause must be dropped without constraining b.
 	m, a, b = build()
-	res = m.Solve(Options{Learn: true, Import: []Nogood{{Lits: []Lit{
+	res = m.Solve(Options{Import: []Nogood{{Lits: []Lit{
 		{Var: a, Ge: true, Bound: 3},
 		{Var: b, Ge: true, Bound: 1},
 	}}}})

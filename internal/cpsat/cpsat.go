@@ -9,11 +9,11 @@
 // watchlists (only constraints watching a tightened variable wake up),
 // trail-based backtracking (an undo stack of bound changes instead of
 // domain-array copies at every branch), incremental expression-bound
-// maintenance for linear rows, depth-first branch and bound with
-// most-constrained-variable selection and objective-directed value
-// ordering, incumbent-driven objective tightening, and a wall-clock time
-// limit yielding OPTIMAL / FEASIBLE / INFEASIBLE / UNKNOWN statuses like
-// the paper's Table 4 reports.
+// maintenance for linear rows, and a conflict-driven branch-and-bound
+// search (cdcl.go) with most-constrained-variable selection,
+// objective-directed value ordering, incumbent-driven objective
+// tightening, and a wall-clock time limit yielding OPTIMAL / FEASIBLE /
+// INFEASIBLE / UNKNOWN statuses like the paper's Table 4 reports.
 package cpsat
 
 import (
@@ -153,25 +153,9 @@ type Options struct {
 	TimeLimit   time.Duration // wall-clock budget; 0 = no limit
 	MaxBranches int64         // branch budget; 0 = no limit
 
-	// Learn enables conflict-driven clause learning. The default engine is
-	// full CDCL: every propagation records its reason on the trail, every
-	// conflict derives a first-UIP bound-literal nogood, minimizes it by
-	// self-subsumption against the reasons, installs it immediately as a
-	// watched row, and backjumps non-chronologically to its assertion
-	// level. Luby restarts and activity-based branching ride along, and a
-	// periodic nogood-database reduction keeps the learned set hot. Off,
-	// the search behaves exactly like the plain event-driven engine.
-	Learn bool
-
-	// RestartOnly selects the legacy restart-scoped learning engine
-	// (reduced nld-nogoods extracted from the aborted branch at each Luby
-	// restart, chronological backtracking in between) instead of full
-	// CDCL. Only meaningful with Learn; kept as an A/B reference.
-	RestartOnly bool
-
 	// RestartBase is the conflict budget of the first run; later runs scale
 	// it by the Luby sequence (1,1,2,1,1,2,4,…). 0 means the package
-	// default. Only meaningful with Learn.
+	// default.
 	RestartBase int64
 
 	// Import seeds the solve with externally learned nogoods, installed at
@@ -187,23 +171,18 @@ type Options struct {
 // never restart, so learning costs them nothing.
 const defaultRestartBase = 256
 
-// maxNogoodLits bounds learned-nogood length: a refutation 50 decisions
-// deep prunes almost nothing and bloats the watch lists.
-const maxNogoodLits = 48
-
-// maxNogoods bounds the learned store: the restart-only engine stops
-// learning past it, while the CDCL engine halves the watched store by
-// activity at the next restart once it overflows.
+// maxNogoods bounds the watched learned store: once it overflows, the next
+// restart halves it by activity.
 const maxNogoods = 4096
 
-// initialDBMax is the CDCL engine's starting watched-clause budget; it
-// grows by half at every overflowing database reduction (up to maxNogoods).
-// Budget-bounded window solves learn ~1-2k clauses and want all of them
-// hot — aggressive early reduction measurably re-learns the same conflicts
-// — so the starting budget matches the restart-only engine's cap.
+// initialDBMax is the starting watched-clause budget; it grows by half at
+// every overflowing database reduction (up to maxNogoods). Budget-bounded
+// window solves learn ~1-2k clauses and want all of them hot — aggressive
+// early reduction measurably re-learns the same conflicts — so the
+// starting budget is the cap itself.
 const initialDBMax = maxNogoods
 
-// reasonOnlyLen is the CDCL watched-clause length cutoff: a learned nogood
+// reasonOnlyLen is the watched-clause length cutoff: a learned nogood
 // wider than this almost never re-propagates but would bloat the watch
 // lists every solve long, so it is stored un-watched purely as the
 // assertion's reason. Impure reason-only clauses are dead weight once
@@ -233,7 +212,7 @@ type Result struct {
 	// before the first incumbent (hence implied by the hard constraints
 	// alone, never by the solve-local objective bound) that were still in
 	// the database when the solve ended. Imported nogoods are not
-	// re-exported. Only the CDCL engine fills it.
+	// re-exported.
 	Learned []Nogood
 
 	// TimedOut reports that the wall clock expired mid-search. A solve cut
@@ -291,16 +270,6 @@ type lit struct {
 	bound int64
 }
 
-// decision is one entry of the current branch: the literal taken, and —
-// for a second (refutation) half — the sibling literal whose subtree was
-// already fully explored, which is what restart-time nogood extraction
-// needs.
-type decision struct {
-	taken   lit
-	sibling lit
-	second  bool
-}
-
 type searcher struct {
 	m *Model
 
@@ -335,41 +304,31 @@ type searcher struct {
 
 	rootInfeasible bool // empty constraint range found during row dedup
 
-	// Conflict-driven learning state (Options.Learn). When a run's conflict
-	// budget expires, the current branch is snapshotted; the Luby restart
-	// unwinds to the root and installs the branch's reduced nld-nogoods —
-	// for every refutation half on the branch, its decision prefix plus the
-	// already-refuted sibling literal — as watched rows (ngWatchLo/Hi wake
-	// a nogood when a ≥/≤ literal of one of its vars may have become
-	// entailed). Unit propagation then steers the next run past every
-	// subtree the aborted run had already refuted, and branching follows
-	// conflict-bumped activities.
-	learn      bool
-	activity   []float64
-	varInc     float64
-	decStack   []decision
-	branchSnap []decision // branch at the moment the restart triggered
-	nogoods    [][]lit
-	ngW        [][2]int32  // per nogood: the two watched literal indexes
-	ngWatchLo  [][]ngWatch // var → nogoods watching a ≥-literal of it (may hold stale entries)
-	ngWatchHi  [][]ngWatch
-	conflicts  int64
-	restartAt  int64 // conflict count that triggers the next restart
-	restartRq  bool
-	runIdx     int64
-	rstBase    int64
-	rstPenalty int64 // doubles on zero-yield restarts, resets when one learns
-	learned    int64
-	restarts   int64
+	// Conflict-driven learning state. Learned nogoods are watched rows
+	// (ngWatchLo/Hi wake a nogood when a ≥/≤ literal of one of its vars may
+	// have become entailed), branching follows conflict-bumped activities,
+	// and a Luby restart fires whenever the conflict count reaches
+	// restartAt.
+	activity  []float64
+	varInc    float64
+	nogoods   [][]lit
+	ngW       [][2]int32  // per nogood: the two watched literal indexes
+	ngWatchLo [][]ngWatch // var → nogoods watching a ≥-literal of it (may hold stale entries)
+	ngWatchHi [][]ngWatch
+	conflicts int64
+	restartAt int64 // conflict count that triggers the next restart
+	runIdx    int64
+	rstBase   int64
+	learned   int64
+	restarts  int64
 
-	// CDCL state (Options.Learn without RestartOnly). Every trail entry
-	// carries its reason and level; loHead/hiHead are the per-variable
-	// chains of same-side tightenings that conflict analysis walks to find
-	// the entry establishing an entailed literal (and the bounds that held
-	// at any earlier trail position, without shadow copies). curReason and
-	// level stamp entries as they are pushed; levelStart marks each
-	// decision level's first trail index so backjumping is a truncation.
-	cdcl       bool
+	// Every trail entry carries its reason and level; loHead/hiHead are the
+	// per-variable chains of same-side tightenings that conflict analysis
+	// walks to find the entry establishing an entailed literal (and the
+	// bounds that held at any earlier trail position, without shadow
+	// copies). curReason and level stamp entries as they are pushed;
+	// levelStart marks each decision level's first trail index so
+	// backjumping is a truncation.
 	loHead     []int32 // var → newest ≥-side trail entry (-1 if none)
 	hiHead     []int32 // var → newest ≤-side trail entry
 	curReason  int32
@@ -427,7 +386,8 @@ type searcher struct {
 	timeExpired bool
 }
 
-// Solve runs branch-and-bound and returns the best solution found.
+// Solve runs conflict-driven branch-and-bound and returns the best
+// solution found.
 func (m *Model) Solve(opts Options) Result {
 	start := time.Now()
 	s := newSearcher(m, opts)
@@ -444,50 +404,8 @@ func (m *Model) Solve(opts Options) Result {
 		complete = true // an imported nogood refutes the root domains outright
 	case !s.propagateRoot():
 		complete = !s.timedOut // root wipeout is proven unless the clock cut the fixpoint short
-	case s.cdcl:
-		complete = s.solveCDCL()
 	default:
-		for {
-			if s.search() {
-				complete = true
-				break
-			}
-			if s.timedOut || !s.restartRq {
-				break
-			}
-			// Luby restart: the recursion has already unwound to the root.
-			// Install the run's learned nogoods (possibly refuting the root,
-			// which proves the incumbent optimal), re-propagate the root
-			// under the tightened objective bound, and search again with a
-			// larger conflict budget. A restart that yields no nogoods was
-			// pure overhead — the search dives without refutation halves on
-			// its branch — so zero-yield restarts double an extra penalty on
-			// the next budget until one pays off again; models whose shape
-			// learning cannot help thus stop restarting almost immediately.
-			s.restartRq = false
-			s.restarts++
-			s.runIdx++
-			before := s.learned
-			if !s.installBranchNogoods() {
-				complete = !s.timedOut
-				break
-			}
-			if s.learned == before {
-				if s.rstPenalty < 1<<20 {
-					s.rstPenalty *= 2
-				}
-			} else {
-				s.rstPenalty = 1
-			}
-			s.restartAt = s.conflicts + s.rstBase*luby(s.runIdx+1)*s.rstPenalty
-			if s.hasBest && s.objIdx >= 0 {
-				s.enqueue(int32(s.objIdx))
-			}
-			if !s.drain() {
-				complete = !s.timedOut
-				break
-			}
-		}
+		complete = s.search()
 	}
 
 	res := Result{
@@ -527,36 +445,29 @@ func (m *Model) Solve(opts Options) Result {
 func newSearcher(m *Model, opts Options) *searcher {
 	nv := len(m.lo)
 	s := &searcher{
-		m:         m,
-		lo:        append([]int64(nil), m.lo...),
-		hi:        append([]int64(nil), m.hi...),
-		objIdx:    -1,
-		maxBranch: opts.MaxBranches,
-		learn:     opts.Learn,
-		cdcl:      opts.Learn && !opts.RestartOnly,
-		curReason: reasonAssert,
-		conflV:    -1,
-		conflC:    -1,
+		m:          m,
+		lo:         append([]int64(nil), m.lo...),
+		hi:         append([]int64(nil), m.hi...),
+		objIdx:     -1,
+		maxBranch:  opts.MaxBranches,
+		curReason:  reasonAssert,
+		conflV:     -1,
+		conflC:     -1,
+		activity:   make([]float64, nv),
+		varInc:     1,
+		rstBase:    opts.RestartBase,
+		levelStart: []int32{0},
+		ngInc:      1,
+		dbMax:      initialDBMax,
 	}
+	if s.rstBase <= 0 {
+		s.rstBase = defaultRestartBase
+	}
+	s.restartAt = s.rstBase
 	s.loHead = make([]int32, nv)
 	s.hiHead = make([]int32, nv)
 	for v := 0; v < nv; v++ {
 		s.loHead[v], s.hiHead[v] = -1, -1
-	}
-	if s.learn {
-		s.activity = make([]float64, nv)
-		s.varInc = 1
-		s.rstBase = opts.RestartBase
-		if s.rstBase <= 0 {
-			s.rstBase = defaultRestartBase
-		}
-		s.restartAt = s.rstBase
-		s.rstPenalty = 1
-	}
-	if s.cdcl {
-		s.levelStart = append(s.levelStart, 0)
-		s.ngInc = 1
-		s.dbMax = initialDBMax
 	}
 
 	// Root reduction: rows with identical terms collapse to one row with
@@ -719,97 +630,6 @@ func (s *searcher) litHolds(l lit) bool {
 	return s.hi[l.v] <= l.bound
 }
 
-// noteConflict bumps the decision path's activities and checks the run's
-// conflict budget; when the budget expires the current branch is
-// snapshotted for restart-time nogood extraction.
-func (s *searcher) noteConflict() {
-	s.conflicts++
-	if !s.learn {
-		return
-	}
-	for _, d := range s.decStack {
-		s.activity[d.taken.v] += s.varInc
-		if s.activity[d.taken.v] > 1e100 {
-			for i := range s.activity {
-				s.activity[i] *= 1e-100
-			}
-			s.varInc *= 1e-100
-		}
-	}
-	s.varInc *= 1.052 // MiniSat-style decay of everything else
-	if s.conflicts >= s.restartAt && !s.restartRq {
-		s.restartRq = true
-		s.branchSnap = append(s.branchSnap[:0], s.decStack...)
-	}
-}
-
-// installBranchNogoods turns the aborted run's final branch into reduced
-// nld-nogoods (Lecoutre et al.): a second (refutation) half δⱼ on the
-// branch means its sibling's subtree under the prefix δ₁…δⱼ₋₁ was fully
-// explored without an improving solution, so {δ₁,…,δⱼ₋₁, sibling(δⱼ)} is a
-// nogood — at most one per branch level. It runs at the root: literals
-// refuted by the root domains kill their nogood, entailed literals are
-// dropped, an emptied nogood refutes the root (the incumbent is optimal —
-// the caller reports completeness), and a unit nogood is enforced
-// permanently. It reports false when the root is refuted.
-func (s *searcher) installBranchNogoods() bool {
-	for j, d := range s.branchSnap {
-		if !d.second || j+1 > maxNogoodLits || len(s.nogoods) >= maxNogoods {
-			continue
-		}
-		kept := make([]lit, 0, j+1)
-		dead := false
-		for i := 0; i <= j; i++ {
-			l := s.branchSnap[i].taken
-			if i == j {
-				l = d.sibling
-			}
-			var never, always bool
-			if l.ge {
-				never, always = s.hi[l.v] < l.bound, s.lo[l.v] >= l.bound
-			} else {
-				never, always = s.lo[l.v] > l.bound, s.hi[l.v] <= l.bound
-			}
-			if never {
-				dead = true
-				break
-			}
-			if !always {
-				kept = append(kept, l)
-			}
-		}
-		if dead {
-			continue
-		}
-		s.learned++
-		switch len(kept) {
-		case 0:
-			return false
-		case 1:
-			if !s.negateLit(kept[0]) {
-				return false
-			}
-		default:
-			if s.ngWatchLo == nil {
-				s.ngWatchLo = make([][]ngWatch, len(s.lo))
-				s.ngWatchHi = make([][]ngWatch, len(s.lo))
-			}
-			id := int32(len(s.nogoods))
-			s.nogoods = append(s.nogoods, kept)
-			s.inQueue = append(s.inQueue, false)
-			// Watch the two deepest literals (free at the root by
-			// construction). The shallow prefix literals re-entail early on
-			// every similar branch; watching them would wake the nogood long
-			// before it could possibly propagate.
-			w0, w1 := int32(len(kept)-1), int32(len(kept)-2)
-			s.ngW = append(s.ngW, [2]int32{w0, w1})
-			s.regNgWatch(id, kept[w0])
-			s.regNgWatch(id, kept[w1])
-		}
-	}
-	return true
-}
-
 // negateLit enforces the negation of a literal.
 func (s *searcher) negateLit(l lit) bool {
 	if l.ge {
@@ -856,7 +676,7 @@ func (s *searcher) propNogood(k int) bool {
 		s.conflC = int32(len(s.lins)+len(s.m.implies)) + int32(k)
 		return false
 	case f1 < 0:
-		if s.cdcl && s.level == 0 && !s.ngPure[k] {
+		if s.level == 0 && !s.ngPure[k] {
 			// An objective-tainted clause is asserting a root fact: later
 			// derivations treating the root as free lose their purity.
 			s.rootTainted = true
@@ -1202,122 +1022,6 @@ func (s *searcher) propImply(ii int) bool {
 		}
 	}
 	return true
-}
-
-// prunedByBound reports whether the current node cannot improve on the
-// incumbent: an O(1) check against the objective row's incremental lower
-// bound (or, without an objective, any incumbent at all — the first
-// solution of a satisfaction problem ends the search).
-func (s *searcher) prunedByBound() bool {
-	if !s.hasBest {
-		return false
-	}
-	if s.objIdx < 0 {
-		return true
-	}
-	return s.linLo[s.objIdx] > s.lins[s.objIdx].hi
-}
-
-// search explores the subtree under the current (already propagated)
-// domains, branching on the most-constrained variable — smallest domain,
-// ties broken toward the most-watched; with learning on, conflict-bumped
-// activity dominates both — and trying the objective-preferred half first.
-// It returns true if the subtree was explored exhaustively.
-func (s *searcher) search() bool {
-	if s.expired() || s.restartRq {
-		return false
-	}
-	if s.prunedByBound() {
-		// Not a learning conflict: bound-dominated nodes are legion and
-		// cheap, and counting them would flood the restart budget; the nld
-		// extraction still captures any refutation that included them.
-		return true // no improving solution below this node: proven
-	}
-	branch := -1
-	var bestSpan int64 = math.MaxInt64
-	var bestDeg int32 = -1
-	bestAct := math.Inf(-1)
-	for v := range s.lo {
-		span := s.hi[v] - s.lo[v]
-		if span <= 0 {
-			continue
-		}
-		if s.learn {
-			// Most-constrained first, conflict activity as the tie-break
-			// above watcher degree: the small-domain dive is what makes
-			// branch budgets productive on wide windows (activity-first
-			// branching triples propagation per node there), while activity
-			// still steers equals toward the contended columns restarts
-			// learned about. Before any conflict this reproduces the
-			// non-learning heuristic exactly.
-			switch {
-			case span < bestSpan:
-			case span > bestSpan:
-				continue
-			case s.activity[v] < bestAct:
-				continue
-			case s.activity[v] == bestAct && s.degree[v] <= bestDeg:
-				continue
-			}
-			bestAct = s.activity[v]
-			bestSpan = span
-			bestDeg = s.degree[v]
-			branch = v
-		} else if span < bestSpan || (span == bestSpan && s.degree[v] > bestDeg) {
-			bestSpan = span
-			bestDeg = s.degree[v]
-			branch = v
-		}
-	}
-	if branch < 0 {
-		// All fixed: feasible leaf (propagation already validated bounds).
-		s.record()
-		return true
-	}
-
-	s.branches++
-	lo, hi := s.lo[branch], s.hi[branch]
-	// Value ordering: commit the objective-preferred endpoint first (the
-	// greedy dive), leaving the rest of the domain for the refutation
-	// branch. Minimization prefers small values under a non-negative
-	// coefficient and large ones under a negative coefficient. Each half is
-	// a single bound literal — the decision recorded on the path.
-	var halves [2][2]int64
-	var decs [2]lit
-	if s.objCoef[branch] < 0 {
-		halves = [2][2]int64{{hi, hi}, {lo, hi - 1}}
-		decs = [2]lit{{v: int32(branch), ge: true, bound: hi}, {v: int32(branch), bound: hi - 1}}
-	} else {
-		halves = [2][2]int64{{lo, lo}, {lo + 1, hi}}
-		decs = [2]lit{{v: int32(branch), bound: lo}, {v: int32(branch), ge: true, bound: lo + 1}}
-	}
-	order := [2]int{0, 1}
-	complete := true
-	for _, oi := range order {
-		mark := len(s.trail)
-		s.decStack = append(s.decStack, decision{taken: decs[oi], sibling: decs[1-oi], second: oi == 1})
-		ok := s.setLo(branch, halves[oi][0]) && s.setHi(branch, halves[oi][1])
-		if ok {
-			ok = s.drain()
-		} else {
-			s.clearQueue()
-		}
-		if ok {
-			if !s.search() {
-				complete = false
-			}
-		} else if s.timedOut {
-			complete = false
-		} else {
-			s.noteConflict()
-		}
-		s.decStack = s.decStack[:len(s.decStack)-1]
-		s.undoTo(mark)
-		if s.expired() || s.restartRq {
-			return false
-		}
-	}
-	return complete
 }
 
 // record stores the current (fully fixed) assignment, tightening the

@@ -7,13 +7,17 @@ import (
 	"time"
 )
 
-// Differential harness: the event-driven watchlist engine and the naive
-// fixpoint reference (reference_test.go) must agree on every randomized
-// model — identical status, identical optimal objective, and any returned
-// assignment must satisfy every constraint of the model. Budgets are
-// branch-free and generous so both searches run to completion; the two
-// engines may return different optimal assignments, so Values are checked
-// for feasibility, not equality.
+// Differential harness: the CDCL engine and the naive fixpoint reference
+// (reference_test.go) must agree on every randomized model — identical
+// status, identical optimal objective, and any returned assignment must
+// satisfy every constraint of the model. Budgets are branch-free and
+// generous so both searches run to completion; the two may return
+// different optimal assignments, so Values are checked for feasibility,
+// not equality. An aggressively small Luby unit (diffOpts) makes restarts,
+// clause installs, database reductions, and learned-row propagation all
+// fire on models this size.
+
+var diffOpts = Options{RestartBase: 4}
 
 // randomModel draws a small model: interval domains, a few two-sided
 // linears (some deliberately unsatisfiable), implications, and usually an
@@ -98,37 +102,20 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 200
 	}
-	// Every engine configuration must agree with the naive fixpoint
-	// reference: the plain event-driven search, the full CDCL engine
-	// (1-UIP analysis, backjumping, immediate clause install), and the
-	// legacy restart-scoped learner — all with an aggressively small Luby
-	// unit so restarts, installs, and learned-row propagation all fire on
-	// models this size.
-	engines := []struct {
-		tag  string
-		opts Options
-	}{
-		{"plain", Options{}},
-		{"cdcl", Options{Learn: true, RestartBase: 4}},
-		{"restart", Options{Learn: true, RestartOnly: true, RestartBase: 4}},
-	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, lins, imps := randomModel(rng)
 		want := refSolve(m, Options{})
 
-		for _, eng := range engines {
-			got := m.Solve(eng.opts)
-			if got.Status != want.Status {
-				t.Fatalf("seed %d: %s status %v vs %v (reference)", seed, eng.tag, got.Status, want.Status)
-			}
-			if got.Status == Optimal && m.hasObj && got.Objective != want.Objective {
-				t.Fatalf("seed %d: %s objective %d vs %d (reference)",
-					seed, eng.tag, got.Objective, want.Objective)
-			}
-			if got.Values != nil {
-				checkSolution(t, eng.tag+" solution", seed, got.Values, lins, imps)
-			}
+		got := m.Solve(diffOpts)
+		if got.Status != want.Status {
+			t.Fatalf("seed %d: status %v vs %v (reference)", seed, got.Status, want.Status)
+		}
+		if got.Status == Optimal && m.hasObj && got.Objective != want.Objective {
+			t.Fatalf("seed %d: objective %d vs %d (reference)", seed, got.Objective, want.Objective)
+		}
+		if got.Values != nil {
+			checkSolution(t, "solution", seed, got.Values, lins, imps)
 		}
 		if want.Values != nil {
 			checkSolution(t, "reference solution", seed, want.Values, lins, imps)
@@ -192,20 +179,12 @@ func TestDifferentialOPGShapedModels(t *testing.T) {
 		m.Minimize(objVars, objCoefs)
 
 		want := refSolve(m, Options{})
-		for _, opts := range []Options{
-			{},
-			{Learn: true, RestartBase: 4},
-			{Learn: true, RestartOnly: true, RestartBase: 4},
-		} {
-			got := m.Solve(opts)
-			if got.Status != want.Status {
-				t.Fatalf("seed %d (learn=%t restartOnly=%t): status %v vs reference %v",
-					seed, opts.Learn, opts.RestartOnly, got.Status, want.Status)
-			}
-			if got.Status == Optimal && got.Objective != want.Objective {
-				t.Fatalf("seed %d (learn=%t restartOnly=%t): objective %d vs reference %d",
-					seed, opts.Learn, opts.RestartOnly, got.Objective, want.Objective)
-			}
+		got := m.Solve(diffOpts)
+		if got.Status != want.Status {
+			t.Fatalf("seed %d: status %v vs reference %v", seed, got.Status, want.Status)
+		}
+		if got.Status == Optimal && got.Objective != want.Objective {
+			t.Fatalf("seed %d: objective %d vs reference %d", seed, got.Objective, want.Objective)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package cpsat
 import "testing"
 
 // Conflict-driven learning tests: restarts must actually fire, learned
-// nogoods must be installed and propagated, and the learning configuration
-// must stay deterministic and exact (same status and objective as the
-// plain engine) on the window shapes OPG emits.
+// nogoods must be installed and propagated, and the search must stay
+// deterministic and exact (same status and objective as the fixpoint
+// reference) on the window shapes OPG emits.
 
 // hardKnapsack builds a window model contended enough to generate many
 // conflicts: tight per-layer capacities against full-allocation rows.
@@ -39,7 +39,7 @@ func hardKnapsack(nw, nl int) *Model {
 
 func TestLearningRestartsAndNogoodsFire(t *testing.T) {
 	m := hardKnapsack(4, 4)
-	res := m.Solve(Options{Learn: true, RestartBase: 8})
+	res := m.Solve(Options{RestartBase: 8})
 	if res.Status != Optimal {
 		t.Fatalf("status = %v, want OPTIMAL", res.Status)
 	}
@@ -49,15 +49,15 @@ func TestLearningRestartsAndNogoodsFire(t *testing.T) {
 	if res.Nogoods == 0 {
 		t.Error("no nogoods learned despite conflicts")
 	}
-	plain := hardKnapsack(4, 4).Solve(Options{})
-	if plain.Status != res.Status || plain.Objective != res.Objective {
-		t.Fatalf("learning changed the answer: %v/%d vs plain %v/%d",
-			res.Status, res.Objective, plain.Status, plain.Objective)
+	ref := refSolve(hardKnapsack(4, 4), Options{})
+	if ref.Status != res.Status || ref.Objective != res.Objective {
+		t.Fatalf("learning changed the answer: %v/%d vs reference %v/%d",
+			res.Status, res.Objective, ref.Status, ref.Objective)
 	}
 }
 
 func TestLearningIsDeterministic(t *testing.T) {
-	opts := Options{Learn: true, RestartBase: 8, MaxBranches: 2000}
+	opts := Options{RestartBase: 8, MaxBranches: 2000}
 	a := hardKnapsack(6, 5).Solve(opts)
 	b := hardKnapsack(6, 5).Solve(opts)
 	if a.Status != b.Status || a.Objective != b.Objective ||
@@ -66,13 +66,6 @@ func TestLearningIsDeterministic(t *testing.T) {
 	}
 	if a.TimedOut || b.TimedOut {
 		t.Error("branch-budget expiry must not set TimedOut (it is the wall-clock flag)")
-	}
-}
-
-func TestPlainOptionsLearnNothing(t *testing.T) {
-	res := hardKnapsack(4, 4).Solve(Options{})
-	if res.Nogoods != 0 || res.Restarts != 0 {
-		t.Fatalf("plain solve reported learning counters: %+v", res)
 	}
 }
 
@@ -99,7 +92,7 @@ func TestLearningOnInfeasibleModel(t *testing.T) {
 		}
 		m.AddLinearLE(vars, ones, 2) // nw*nl demand vs nl*2 capacity
 	}
-	res := m.Solve(Options{Learn: true, RestartBase: 2})
+	res := m.Solve(Options{RestartBase: 2})
 	if res.Status != Infeasible {
 		t.Fatalf("status = %v, want INFEASIBLE", res.Status)
 	}

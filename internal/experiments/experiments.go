@@ -57,10 +57,6 @@ type Config struct {
 	// Plans are byte-identical either way, so — like Workers — it is a
 	// scheduling knob and stays out of result fingerprints.
 	OPGParallelism int
-	// LearnMode selects the CP learning engine (opg.Config.LearnMode):
-	// "" / "cdcl", "restart", or "off". Unlike the scheduling knobs above
-	// it changes budget-bound plans, so it IS part of result fingerprints.
-	LearnMode string
 	// PlanCache memoizes Prepare results across every engine the runner
 	// builds — the main runner and the per-cell engines of the figure and
 	// ablation sweeps (nil = no memoization).
@@ -180,7 +176,6 @@ func engineOptions(cfg Config, dev device.Device) core.Options {
 		opts.Config.MaxBranches = cfg.MaxBranches
 	}
 	opts.Config.Parallelism = cfg.OPGParallelism
-	opts.Config.LearnMode = cfg.LearnMode
 	opts.Cache = cfg.PlanCache
 	return opts
 }
@@ -200,7 +195,6 @@ func (r *Runner) solveConfig() opg.Config {
 		cfg.MaxBranches = r.Cfg.MaxBranches
 	}
 	cfg.Parallelism = r.Cfg.OPGParallelism
-	cfg.LearnMode = r.Cfg.LearnMode
 	return cfg
 }
 

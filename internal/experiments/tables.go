@@ -86,14 +86,13 @@ type Table4Row struct {
 	Nogoods  int64 // learned CP nogoods across window solves
 	Restarts int64 // CP Luby restarts across window solves
 
-	// CDCL analysis counters (zero under restart-only or disabled learning).
+	// CDCL analysis counters.
 	Conflicts int64 // conflicts analyzed by the 1-UIP engine
 	Backjumps int64 // non-chronological backjumps (≥1 intact level skipped)
 	MinLits   int64 // literals removed by self-subsumption minimization
 
-	Spec     int   // windows committed from accepted speculation
-	Recommit int   // windows re-solved after failed speculation
-	Imported int64 // nogoods installed from doomed speculations (WarmRecommit)
+	Spec     int // windows committed from accepted speculation
+	Recommit int // windows re-solved after failed speculation
 
 	Overlap float64 // streamed weight fraction of the resulting plan
 }
@@ -127,7 +126,6 @@ func (r *Runner) table4Cell(spec models.Spec) (Table4Row, error) {
 		MinLits:   st.MinimizedLits,
 		Spec:      st.Speculative,
 		Recommit:  st.Recommitted,
-		Imported:  st.ImportedNogoods,
 		Overlap:   plan.OverlapFraction(),
 	}, nil
 }
@@ -145,7 +143,7 @@ func (r *Runner) Table4() []Table4Row {
 	return rows
 }
 
-// RenderTable4 formats Table 4 rows. The Spec/Recommit/Imported columns are
+// RenderTable4 formats Table 4 rows. The Spec/Recommit columns are
 // the speculative pipeline's scheduling diagnostics: deliberately absent
 // from the table (they vary run to run, and sharded CI diffs rendered output
 // byte-for-byte), they are still carried on the row for programmatic use.

@@ -74,11 +74,8 @@ func BenchmarkColdSolveGPTNeoSParallel(b *testing.B) {
 // Contended variants: the default 500 MB M_peak is NOT adapted to the
 // model, so every Llama2-70B window fights for in-flight headroom and the
 // boundary windows exhaust their budgets — the family where failed
-// speculation and recommits actually happen. The Warm variant additionally
-// re-seeds those recommits with the doomed solves' learned nogoods
-// (Config.WarmRecommit), so Warm vs Parallel isolates what nogood import
-// is worth on exactly the re-solves that pay for speculation misses.
-func benchContendedSolve(b *testing.B, parallelism int, warm bool) {
+// speculation and recommits actually happen.
+func benchContendedSolve(b *testing.B, parallelism int) {
 	b.Helper()
 	g := models.SolverOnly()[2].Build() // Llama2-70B
 	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
@@ -86,7 +83,6 @@ func benchContendedSolve(b *testing.B, parallelism int, warm bool) {
 	cfg.SolveTimeout = 60 * time.Millisecond
 	cfg.MaxBranches = 4000
 	cfg.Parallelism = parallelism
-	cfg.WarmRecommit = warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	var plan *Plan
@@ -101,18 +97,13 @@ func benchContendedSolve(b *testing.B, parallelism int, warm bool) {
 	b.ReportMetric(plan.Stats.SolveTime.Seconds(), "solve-s")
 	if parallelism > 1 {
 		b.ReportMetric(float64(plan.Stats.Recommitted), "recommits")
-		b.ReportMetric(float64(plan.Stats.ImportedNogoods), "imported-ng")
 	}
 }
 
 func BenchmarkColdSolveContended70B(b *testing.B) {
-	benchContendedSolve(b, 0, false)
+	benchContendedSolve(b, 0)
 }
 
 func BenchmarkColdSolveContended70BParallel(b *testing.B) {
-	benchContendedSolve(b, runtime.GOMAXPROCS(0), false)
-}
-
-func BenchmarkColdSolveContended70BWarm(b *testing.B) {
-	benchContendedSolve(b, runtime.GOMAXPROCS(0), true)
+	benchContendedSolve(b, runtime.GOMAXPROCS(0))
 }

@@ -53,10 +53,7 @@ func AdaptMPeak(cfg Config, g *graph.Graph) Config {
 // With cfg.Parallelism > 1 the rolling windows run through the speculative
 // pipeline (see pipeline.go); the committed plan and all solver counters
 // are byte-identical to a sequential solve, so the knob trades nothing but
-// wall-clock and wasted speculative work. The one exception is
-// cfg.WarmRecommit, which re-seeds failed-speculation re-solves with learned
-// nogoods and may therefore commit a different (equally valid) plan — that
-// is why it is a separate opt-in and warm plans are never cached.
+// wall-clock and wasted speculative work.
 func Solve(g *graph.Graph, caps Capacity, cfg Config) *Plan {
 	if cfg.ChunkSize <= 0 {
 		cfg = DefaultConfig()
@@ -96,7 +93,7 @@ func Solve(g *graph.Graph, caps Capacity, cfg Config) *Plan {
 		s.solveParallel(wins, cfg.Parallelism)
 	} else {
 		for _, win := range wins {
-			s.apply(solveWindow(&s.cfg, win, s.capRemaining, s.inflight, false, nil))
+			s.apply(solveWindow(&s.cfg, win, s.capRemaining, s.inflight, false))
 		}
 	}
 
@@ -135,7 +132,6 @@ func (s *solver) apply(res *windowResult) {
 	s.stats.Conflicts += st.conflicts
 	s.stats.Backjumps += st.backjumps
 	s.stats.MinimizedLits += st.minimizedLits
-	s.stats.ImportedNogoods += st.importedNogoods
 	s.stats.Fallbacks.SoftThreshold += st.fallbacks.SoftThreshold
 	s.stats.Fallbacks.IncrementalPreload += st.fallbacks.IncrementalPreload
 	s.stats.Fallbacks.Greedy += st.fallbacks.Greedy

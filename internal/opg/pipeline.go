@@ -108,18 +108,12 @@ func (s *solver) pipelineWorker(wins []window, ps *pipeState) {
 			}
 			// Failed speculation: re-solve on the true state. No other
 			// worker can commit (the frontier is ours), so the live arrays
-			// are stable outside the lock. Under WarmRecommit the doomed
-			// result's rung records seed the re-solve (imported nogoods,
-			// infeasible-rung skips) — see window.go.
-			var warm *windowResult
-			if s.cfg.WarmRecommit {
-				warm = ps.done[f]
-			}
+			// are stable outside the lock.
 			ps.done[f] = nil
 			s.stats.Recommitted++
 			ps.rejectStreak++
 			ps.mu.Unlock()
-			res = solveWindow(&s.cfg, wins[f], s.capRemaining, s.inflight, false, warm)
+			res = solveWindow(&s.cfg, wins[f], s.capRemaining, s.inflight, false)
 			ps.mu.Lock()
 			ps.done[f], ps.direct[f] = res, true
 			ps.cond.Broadcast()
@@ -130,7 +124,7 @@ func (s *solver) pipelineWorker(wins []window, ps *pipeState) {
 			// advance only through the frontier).
 			ps.claimed[f] = true
 			ps.mu.Unlock()
-			res := solveWindow(&s.cfg, wins[f], s.capRemaining, s.inflight, false, nil)
+			res := solveWindow(&s.cfg, wins[f], s.capRemaining, s.inflight, false)
 			ps.mu.Lock()
 			ps.done[f], ps.direct[f] = res, true
 			ps.cond.Broadcast()
@@ -157,7 +151,7 @@ func (s *solver) pipelineWorker(wins []window, ps *pipeState) {
 			snapCap := append([]int(nil), s.capRemaining...)
 			snapIn := append([]int64(nil), s.inflight...)
 			ps.mu.Unlock()
-			res := solveWindow(&s.cfg, wins[k], snapCap, snapIn, true, nil)
+			res := solveWindow(&s.cfg, wins[k], snapCap, snapIn, true)
 			ps.mu.Lock()
 			ps.done[k] = res
 			ps.cond.Broadcast()

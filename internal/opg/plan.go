@@ -51,37 +51,6 @@ type Config struct {
 	// then refuses to commit speculative results (it degrades to sequential
 	// re-solves rather than risk a nondeterministic plan).
 	Parallelism int
-
-	// LearnMode selects the CP solver's learning engine for window solves:
-	// "" or "cdcl" (full conflict-driven clause learning — reason trail,
-	// first-UIP analysis, non-chronological backjumping), "restart" (the
-	// legacy restart-scoped nld-nogood engine, kept for A/B runs), or
-	// "off" (no learning). The mode changes search trajectories and hence
-	// budget-bounded plans, so it is part of the plan-cache key salt.
-	LearnMode string
-
-	// WarmRecommit re-seeds failed-speculation re-solves (Parallelism > 1)
-	// with the nogoods the doomed speculative solve exported: each CP rung
-	// whose model is uniformly tighter than the speculative rung's imports
-	// its objective-free clauses, and rungs the speculative solve proved
-	// infeasible are skipped outright. The imports change the re-solve's
-	// search trajectory, so committed plans may differ from a sequential
-	// solve's — the flag is an explicit opt-in, off by default, and warm
-	// plans are never stored in plan caches (they are timing-dependent).
-	WarmRecommit bool
-}
-
-// learnOptions translates LearnMode into cpsat learning options.
-func (c *Config) learnOptions() (learn, restartOnly bool) {
-	switch c.LearnMode {
-	case "", "cdcl":
-		return true, false
-	case "restart":
-		return true, true
-	case "off":
-		return false, false
-	}
-	panic(fmt.Sprintf("opg: unknown LearnMode %q", c.LearnMode))
 }
 
 // DefaultConfig mirrors the paper's memory-priority setting: S = 1 MB,
@@ -151,15 +120,11 @@ type SolveStats struct {
 	Nogoods     int64 // learned CP nogoods installed across window solves
 	Restarts    int64 // CP Luby restarts across window solves
 
-	// CDCL counters (zero under LearnMode "restart"/"off"). Conflicts and
-	// Backjumps expose the 1-UIP engine's analysis work; MinimizedLits the
-	// self-subsumption payoff; ImportedNogoods the clauses a warm recommit
-	// actually installed from a doomed speculative solve (zero unless
-	// WarmRecommit, since only recommits import).
-	Conflicts       int64
-	Backjumps       int64
-	MinimizedLits   int64
-	ImportedNogoods int64
+	// CDCL counters. Conflicts and Backjumps expose the 1-UIP engine's
+	// analysis work; MinimizedLits the self-subsumption payoff.
+	Conflicts     int64
+	Backjumps     int64
+	MinimizedLits int64
 
 	// Repair provenance, set only on plans produced by the dynamic-scenario
 	// path (repair.go) or its degradation ladder: the rung that produced the

@@ -20,8 +20,7 @@ import (
 // from window.go — equal reads imply the solve would reproduce the result
 // byte for byte), and only the windows the event actually touched are
 // re-solved. Re-solves can optionally warm-start from the retained rung
-// records through the cpsat nogood-import surface, exactly as failed
-// speculations do under Config.WarmRecommit.
+// records through the cpsat nogood-import surface.
 //
 // The first window a budget drop affects is found by the replay itself:
 // earlier windows replay clean (their reads are insensitive to the event),
@@ -69,23 +68,13 @@ type Repairable struct {
 // solveWindowRecorded runs one window's ladder with full read tracing and
 // rung-record capture, optionally warm-seeded from a prior result's
 // records. It is the repair path's variant of solveWindow: sequential and
-// pipeline solves record rungs only under WarmRecommit, where recommits are
-// the exception, but every repairable window is a potential future warm
-// start.
+// pipeline solves never record rungs, but every repairable window is a
+// potential future warm start.
 func solveWindowRecorded(cfg *Config, win window, baseCap []int, baseIn []int64, warm *windowResult) *windowResult {
-	v := newWinView(cfg, win, baseCap, baseIn, true)
-	ws := &winSolver{
-		cfg: cfg, v: v, win: win,
-		res:           &windowResult{off: win.off},
-		warm:          warm,
-		recordExports: true,
-	}
-	ws.bearing = make([]uint8, win.end-win.off)
+	ws := newWinSolver(cfg, win, baseCap, baseIn, true)
+	ws.warm, ws.recordExports = warm, true
 	ws.solveBatch(win.batch)
-	ws.res.capUsed = v.capUsed
-	ws.res.inAdd = v.inAdd
-	ws.res.trace = v.trace
-	return ws.res
+	return ws.finish()
 }
 
 // newRepairSolver builds the solver shell shared by SolveRepairable,
@@ -191,10 +180,9 @@ type RepairOptions struct {
 	Budget time.Duration
 
 	// ImportNogoods warm-starts each re-solved window from the retained
-	// rung records via cpsat.ImportCompatible, exactly as WarmRecommit does
-	// for failed speculations. Imports change the CP search trajectory, so
-	// repaired plans may differ from (while remaining as valid as) a cold
-	// solve's — an explicit opt-in, mirroring Config.WarmRecommit.
+	// rung records via cpsat.ImportCompatible. Imports change the CP search
+	// trajectory, so repaired plans may differ from (while remaining as
+	// valid as) a cold solve's — an explicit opt-in.
 	ImportNogoods bool
 }
 
@@ -264,9 +252,7 @@ func (r *Repairable) Repair(caps Capacity, cfg Config, opts RepairOptions) (Repa
 // solve: always succeeds, costs microseconds, and marks the result
 // degraded.
 func greedyWindow(cfg *Config, win window, baseCap []int, baseIn []int64) *windowResult {
-	v := newWinView(cfg, win, baseCap, baseIn, false)
-	ws := &winSolver{cfg: cfg, v: v, win: win, res: &windowResult{off: win.off}}
-	ws.bearing = make([]uint8, win.end-win.off)
+	ws := newWinSolver(cfg, win, baseCap, baseIn, false)
 	var items []weightItem
 	for _, w := range win.batch {
 		wCands := ws.candidates(w)
@@ -288,9 +274,7 @@ func greedyWindow(cfg *Config, win window, baseCap []int, baseIn []int64) *windo
 		ws.res.stats.degraded = true
 		ws.greedy(items)
 	}
-	ws.res.capUsed = v.capUsed
-	ws.res.inAdd = v.inAdd
-	return ws.res
+	return ws.finish()
 }
 
 // GreedyPatch is the degradation ladder's prefix-preserving fallback: every

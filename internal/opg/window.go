@@ -242,14 +242,13 @@ type windowStats struct {
 	degraded                                     bool // plan not proven optimal
 }
 
-// rungRecord captures one CP rung of a speculative solve for warm recommits:
-// the model it was built against, the pure (objective-free) nogoods the solve
-// exported, and whether the rung was proven infeasible. A later re-solve of
-// the same window on the true state replays the same ladder; when its rung
-// model is uniformly at-least-as-tight (cpsat.ImportCompatible — speculative
-// snapshots are uniformly looser, since capacity only shrinks and in-flight
-// only grows between claim and commit), the exported nogoods are still valid
-// cuts, and a proven-infeasible rung is still infeasible without solving.
+// rungRecord captures one CP rung of a repairable solve for warm-started
+// repair: the model it was built against, the pure (objective-free) nogoods
+// the solve exported, and whether the rung was proven infeasible. A later
+// re-solve of the same window replays the same ladder; when its rung model
+// is uniformly at-least-as-tight (cpsat.ImportCompatible), the exported
+// nogoods are still valid cuts, and a proven-infeasible rung is still
+// infeasible without solving.
 type rungRecord struct {
 	relax      float64
 	model      *cpsat.Model
@@ -267,9 +266,9 @@ type windowResult struct {
 	stats   windowStats
 	trace   []readRec
 
-	// rungs is the per-rung export record, populated only on speculative
-	// solves under Config.WarmRecommit (sequential and direct solves never
-	// feed a recommit, so recording there would be dead weight).
+	// rungs is the per-rung export record, populated only on repairable
+	// solves (solveWindowRecorded): only a repair re-solve can be warmed
+	// from it, so recording anywhere else would be dead weight.
 	rungs []rungRecord
 
 	// wallClocked marks a solve some CP rung of which hit its wall-clock
@@ -332,11 +331,11 @@ type winSolver struct {
 	win window
 	res *windowResult
 
-	// warm is the doomed speculative result this solve replaces (recommit
-	// path only): its rung records seed matching CP rungs with imported
-	// nogoods or skip rungs it proved infeasible. recordExports marks the
-	// converse role — a speculative solve that should capture rung records
-	// for a potential recommit.
+	// warm is the retained result a repair re-solve replaces (repair path
+	// under RepairOptions.ImportNogoods only): its rung records seed
+	// matching CP rungs with imported nogoods or skip rungs it proved
+	// infeasible. recordExports marks the converse role — a repairable
+	// solve that captures rung records for a potential warm re-solve.
 	warm          *windowResult
 	recordExports bool
 
@@ -367,25 +366,30 @@ func (ws *winSolver) bearingAt(l int) bool {
 	return false
 }
 
-// solveWindow runs one window's ladder and returns its complete effect.
-// warm, non-nil only on a WarmRecommit re-solve, is the failed speculative
-// result whose rung records seed this solve.
-func solveWindow(cfg *Config, win window, baseCap []int, baseIn []int64, traced bool, warm *windowResult) *windowResult {
-	v := newWinView(cfg, win, baseCap, baseIn, traced)
-	ws := &winSolver{
-		cfg: cfg, v: v, win: win,
-		res:  &windowResult{off: win.off},
-		warm: warm,
-		// Speculative solves are the only traced ones; they are the only
-		// results a recommit can be warmed from.
-		recordExports: traced && cfg.WarmRecommit,
+// newWinSolver confines one window solve to a fresh view of the base
+// state.
+func newWinSolver(cfg *Config, win window, baseCap []int, baseIn []int64, traced bool) *winSolver {
+	return &winSolver{
+		cfg: cfg, v: newWinView(cfg, win, baseCap, baseIn, traced), win: win,
+		res:     &windowResult{off: win.off},
+		bearing: make([]uint8, win.end-win.off),
 	}
-	ws.bearing = make([]uint8, win.end-win.off)
-	ws.solveBatch(win.batch)
-	ws.res.capUsed = v.capUsed
-	ws.res.inAdd = v.inAdd
-	ws.res.trace = v.trace
+}
+
+// finish moves the view's write deltas and read trace into the result.
+func (ws *winSolver) finish() *windowResult {
+	ws.res.capUsed = ws.v.capUsed
+	ws.res.inAdd = ws.v.inAdd
+	ws.res.trace = ws.v.trace
 	return ws.res
+}
+
+// solveWindow runs one window's ladder and returns its complete effect.
+// traced records the canonical reads a speculative result is validated by.
+func solveWindow(cfg *Config, win window, baseCap []int, baseIn []int64, traced bool) *windowResult {
+	ws := newWinSolver(cfg, win, baseCap, baseIn, traced)
+	ws.solveBatch(win.batch)
+	return ws.finish()
 }
 
 // candidates returns the transform-layer candidates for a weight: the
@@ -668,10 +672,10 @@ func (ws *winSolver) tryCP(batch []weightItem, cands [][]graph.NodeID, relax flo
 
 	m.Minimize(objVars, objCoefs)
 
-	// Warm recommit: match this rung against the doomed speculative solve's
-	// records. A record applies when it ran at the same relaxation and this
-	// model is uniformly at-least-as-tight as its model — then a rung the
-	// speculation proved infeasible is infeasible here too (skip the solve
+	// Warm repair: match this rung against the retained solve's records. A
+	// record applies when it ran at the same relaxation and this model is
+	// uniformly at-least-as-tight as its model — then a rung the retained
+	// solve proved infeasible is infeasible here too (skip the solve
 	// outright), and its exported objective-free nogoods are valid cuts.
 	var imports []cpsat.Nogood
 	if ws.warm != nil {
@@ -689,16 +693,10 @@ func (ws *winSolver) tryCP(batch []weightItem, cands [][]graph.NodeID, relax flo
 	}
 	ws.res.stats.buildTime += time.Since(tBuild)
 
-	learn, restartOnly := cfg.learnOptions()
 	tSolve := time.Now()
 	res := m.Solve(cpsat.Options{
 		TimeLimit:   cfg.SolveTimeout,
 		MaxBranches: cfg.MaxBranches,
-		// Conflict-driven learning with the package-default Luby unit:
-		// zero-yield restart damping in cpsat keeps it free on windows
-		// whose shape learning cannot help.
-		Learn:       learn,
-		RestartOnly: restartOnly,
 		Import:      imports,
 	})
 	ws.res.stats.solveTime += time.Since(tSolve)

@@ -76,11 +76,6 @@ type Config struct {
 	RetryPolicy backoff.Policy
 	RetryTotal  time.Duration
 
-	// ImportNogoods warm-starts repair re-solves from the retained rung
-	// records (cpsat.ImportCompatible). Opt-in: imports trade the
-	// byte-identity guarantee for faster re-solves.
-	ImportNogoods bool
-
 	// Cache, when set, feeds the ladder's cached-variant rung.
 	Cache *plancache.Cache
 }
@@ -259,10 +254,7 @@ func (p *Planner) ladder(ctx context.Context, ms *ModelState, caps opg.Capacity,
 	// Rung 1: incremental repair, retried under the total-elapsed budget.
 	bud := backoff.NewBudget(p.cfg.RetryTotal)
 	for attempt := 0; ; attempt++ {
-		st, err := ms.rep.Repair(caps, cfg, opg.RepairOptions{
-			Budget:        p.cfg.RepairBudget,
-			ImportNogoods: p.cfg.ImportNogoods,
-		})
+		st, err := ms.rep.Repair(caps, cfg, opg.RepairOptions{Budget: p.cfg.RepairBudget})
 		if err == nil {
 			ms.plan, ms.rung = ms.rep.Plan(), opg.RungRepaired
 			return Action{Model: ms.Abbr, Rung: opg.RungRepaired, Stats: st, Elapsed: time.Since(t0)}

@@ -172,6 +172,32 @@ func (s *Server) fusedGraphFor(spec models.Spec) *graph.Graph {
 	return ge.g
 }
 
+// capsKey identifies one capacity table: a model's fused graph on a device
+// at a thermal level, clamped the way power.Throttle clamps it.
+type capsKey struct {
+	dev, model string
+	level      int
+}
+
+// capacityFor returns the analytic load capacities of a model's fused
+// graph on a device at a thermal level, tabulated once per key. Every
+// /replan reads the capacity of every layer (the repair rebuilds its
+// per-layer state from scratch), and recomputing them through the cost
+// model dominated a repair that keeps every window.
+func (s *Server) capacityFor(dev device.Device, level int, spec models.Spec, g *graph.Graph) opg.Capacity {
+	key := capsKey{dev: dev.Name, model: spec.Abbr, level: min(level, power.MaxThrottleLevel)}
+	if c, ok := s.caps.Load(key); ok {
+		return c.(opg.Capacity)
+	}
+	analytic := profiler.AnalyticCapacityFunc(power.Throttle(dev, key.level))
+	table := make([]units.Bytes, g.Len())
+	for _, n := range g.Nodes() {
+		table[n.ID] = analytic(n)
+	}
+	c, _ := s.caps.LoadOrStore(key, opg.Capacity(func(n *graph.Node) units.Bytes { return table[n.ID] }))
+	return c.(opg.Capacity)
+}
+
 func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.ctr.requests.Add(1)
@@ -211,8 +237,8 @@ func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 	s.replanCtr.requests.Add(1)
 
 	eff := power.Throttle(dev, req.Throttle)
-	caps := profiler.AnalyticCapacityFunc(eff)
 	g := s.fusedGraphFor(spec)
+	caps := s.capacityFor(dev, req.Throttle, spec, g)
 
 	// The lineage key pins everything that identifies a repairable solve
 	// except the churn-varying state (budget, throttle): a budget step or

@@ -97,6 +97,26 @@ func TestReplanRepairsAcrossChurn(t *testing.T) {
 	}
 }
 
+// TestReplanCapacityTableMatchesCostModel: the tabulated capacities /replan
+// repairs and validates against must equal the cost model's for every
+// layer at every thermal level, including levels past the clamp.
+func TestReplanCapacityTableMatchesCostModel(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	dev := device.OnePlus12()
+	spec := models.MustByAbbr("ViT")
+	g := s.fusedGraphFor(spec)
+	for level := 0; level <= power.MaxThrottleLevel+2; level++ {
+		table := s.capacityFor(dev, level, spec, g)
+		analytic := profiler.AnalyticCapacityFunc(power.Throttle(dev, level))
+		for _, n := range g.Nodes() {
+			if got, want := table(n), analytic(n); got != want {
+				t.Fatalf("level %d node %d: tabulated capacity %v, cost model %v", level, n.ID, got, want)
+			}
+		}
+	}
+}
+
 // TestReplanDegradesToPatchThenRecovers forces every repair to miss its
 // latency budget with no cached variant available: the ladder must land on
 // the greedy patch, label it, and cold-solve the next request (a patched

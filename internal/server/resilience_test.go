@@ -227,6 +227,34 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+// TestPlanAfterCloseRefusedAtOnce: a cache miss whose leader arrives after
+// Close has drained the solve queue must be refused immediately with 503
+// shutting_down. Enqueued instead, the job would sit in a queue nobody
+// drains and the request would wait out SolveTimeout and answer 504.
+func TestPlanAfterCloseRefusedAtOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.SolveTimeout = 2 * time.Second
+	s := New(cfg)
+	s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	t0 := time.Now()
+	code, er, hdr := postPlanErr(t, ts, "OnePlus 12", "ViT")
+	if code != http.StatusServiceUnavailable || er.Code != codeShuttingDown {
+		t.Fatalf("/plan after Close: %d %q, want 503 %q", code, er.Code, codeShuttingDown)
+	}
+	if el := time.Since(t0); el >= cfg.SolveTimeout {
+		t.Fatalf("refusal took %v: the request waited out SolveTimeout", el)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("503 shutting_down without Retry-After")
+	}
+	if st := s.Stats(); st.QueueDepth != 0 {
+		t.Errorf("queue depth %d after a refused admission, want 0", st.QueueDepth)
+	}
+}
+
 // TestGracefulShutdownPersistsCompletedSolves is the satellite contract:
 // shutdown racing in-flight solves must produce a snapshot containing
 // every solve that completed (was served 200) before Close returned —

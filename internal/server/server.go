@@ -117,11 +117,18 @@ type Server struct {
 	wg        sync.WaitGroup
 	start     time.Time
 
+	// admitMu orders admissions against Close: admit holds it while it
+	// checks done and enqueues, and Close closes done under it. A job is
+	// thus either queued before done closes (and a worker or Close's drain
+	// completes it) or refused as shutting down.
+	admitMu sync.Mutex
+
 	warmMu sync.RWMutex
 	warm   map[string]struct{} // keys loaded from boot snapshots
 
 	graphs sync.Map // model abbr → *graphEntry
 	fused  sync.Map // model abbr → *graphEntry (fused, for /replan lineages)
+	caps   sync.Map // capsKey → opg.Capacity (tabulated, for /replan)
 
 	replans   *replanStore
 	replanCtr replanCounters
@@ -219,7 +226,9 @@ func New(cfg Config) *Server {
 // before calling Close. Closing twice is a no-op.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
+		s.admitMu.Lock()
 		close(s.done)
+		s.admitMu.Unlock()
 		s.wg.Wait()
 		for {
 			select {
@@ -269,6 +278,25 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	return mux
+}
+
+// admit enqueues a leader's job without blocking. It fails with
+// errShutdown once Close has begun (nothing would ever drain the job) and
+// with errOverloaded when the queue is full.
+func (s *Server) admit(j *job) error {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	select {
+	case <-s.done:
+		return errShutdown
+	default:
+	}
+	select {
+	case s.queue <- j:
+		return nil
+	default:
+		return errOverloaded
+	}
 }
 
 // worker executes admitted solves. Engine.Prepare re-checks the cache
@@ -495,17 +523,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if leader {
 		if !s.brk.allow() {
 			// Failing the call also releases any followers that joined
-			// between join and here — same as the overload path below.
+			// between join and here — same as the refusal path below.
 			s.sf.complete(key, c, nil, errCircuitOpen)
-		} else {
-			select {
-			case s.queue <- &job{key: key, eng: eng, g: g, c: c}:
-			default:
-				// Queue full. A granted breaker probe that never reached
-				// the solver says nothing about the solver's health.
-				s.brk.cancelProbe()
-				s.sf.complete(key, c, nil, errOverloaded)
-			}
+		} else if err := s.admit(&job{key: key, eng: eng, g: g, c: c}); err != nil {
+			// Queue full or shutting down. A granted breaker probe that
+			// never reached the solver says nothing about its health.
+			s.brk.cancelProbe()
+			s.sf.complete(key, c, nil, err)
 		}
 	}
 
