@@ -572,8 +572,9 @@ func directPlan(fleet *flashmem.Fleet, device, model string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// canonicalPlan re-encodes a served plan into its canonical form (the HTTP
-// layer compacts embedded JSON, so byte-identity is checked post-decode).
+// canonicalPlan re-encodes a served plan into its canonical form (a
+// response carries the compact opg.Plan.Wire form, so byte-identity is
+// checked post-decode).
 func canonicalPlan(raw []byte) ([]byte, error) {
 	p, err := opg.Decode(bytes.NewReader(raw))
 	if err != nil {

@@ -11,7 +11,23 @@ import (
 // every node's name, inputs, and parts in execution order. Two graphs built
 // the same way hash identically across processes, so the hash is usable as
 // a persistent cache key. Mutating the graph (Add, Replace) changes it.
+//
+// The hash is computed once and memoized: every warm plan lookup keys on
+// it, and hashing a 2,000-node graph costs far more than the lookup. Add
+// and Replace reset the memo; changing Name, DType or a node in place
+// after the first call is unsupported and would leave it stale. Safe for
+// concurrent use while the graph is not being mutated.
 func (g *Graph) Fingerprint() string {
+	if fp := g.fp.Load(); fp != nil {
+		return *fp
+	}
+	fp := g.fingerprint()
+	g.fp.Store(&fp)
+	return fp
+}
+
+// fingerprint hashes the graph's content.
+func (g *Graph) fingerprint() string {
 	h := sha256.New()
 	writeString(h, g.Name)
 	writeInt(h, int64(g.DType))

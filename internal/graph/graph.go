@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/units"
@@ -149,6 +150,7 @@ type Graph struct {
 	DType tensor.DType
 
 	nodes []*Node
+	fp    atomic.Pointer[string] // memoized Fingerprint; Add and Replace reset it
 }
 
 // New returns an empty graph using the given weight dtype.
@@ -179,6 +181,7 @@ func (g *Graph) Add(name string, inputs []NodeID, parts ...Part) NodeID {
 	}
 	n := &Node{ID: id, Name: name, Inputs: append([]NodeID(nil), inputs...), Parts: append([]Part(nil), parts...)}
 	g.nodes = append(g.nodes, n)
+	g.fp.Store(nil)
 	return id
 }
 
@@ -271,10 +274,12 @@ func (g *Graph) Replace(id NodeID, replacements []*Node) {
 		rewired = append(rewired, nn)
 	}
 	g.nodes = rewired
+	g.fp.Store(nil)
 }
 
 // Clone returns a deep copy of the graph; mutating one copy (e.g. via
-// Replace) leaves the other untouched.
+// Replace) leaves the other untouched. The copy starts without a memoized
+// Fingerprint.
 func (g *Graph) Clone() *Graph {
 	out := New(g.Name, g.DType)
 	out.nodes = make([]*Node, len(g.nodes))

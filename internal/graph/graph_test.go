@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -183,4 +184,70 @@ func TestOpKindString(t *testing.T) {
 	if OpKind(-1).Valid() || OpKind(999).Valid() {
 		t.Error("invalid kinds reported valid")
 	}
+}
+
+// rebuilt builds a fresh graph with g's content through Add, so its
+// fingerprint is computed from scratch.
+func rebuilt(g *Graph) *Graph {
+	out := New(g.Name, g.DType)
+	for _, n := range g.Nodes() {
+		out.Add(n.Name, n.Inputs, n.Parts...)
+	}
+	return out
+}
+
+// TestFingerprintMemoTracksMutation: the memoized fingerprint equals a
+// freshly built graph's after every Add and Replace, a Clone hashes like
+// its original, and mutating the clone leaves the original's hash alone.
+func TestFingerprintMemoTracksMutation(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, 20)
+		before := g.Fingerprint()
+		if before != rebuilt(g).Fingerprint() {
+			return false
+		}
+
+		g.Add("extra", []NodeID{NodeID(rng.Intn(g.Len()))}, linear("extra", 64, 10))
+		afterAdd := g.Fingerprint()
+		if afterAdd == before || afterAdd != rebuilt(g).Fingerprint() {
+			return false
+		}
+
+		clone := g.Clone()
+		if clone.Fingerprint() != afterAdd {
+			return false
+		}
+		n := clone.Node(NodeID(rng.Intn(clone.Len())))
+		clone.Replace(n.ID, []*Node{
+			{Name: "r1", Parts: n.Parts},
+			{Name: "r2", Parts: []Part{{Kind: ReLU, InBytes: 8, OutBytes: 8}}},
+		})
+		afterReplace := clone.Fingerprint()
+		return afterReplace != afterAdd && afterReplace == rebuilt(clone).Fingerprint() &&
+			g.Fingerprint() == afterAdd
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFingerprintConcurrent: concurrent first calls agree (run under -race).
+func TestFingerprintConcurrent(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(1)), 200)
+	want := rebuilt(g).Fingerprint()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if got := g.Fingerprint(); got != want {
+					t.Errorf("concurrent fingerprint %s, want %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

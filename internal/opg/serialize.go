@@ -39,8 +39,24 @@ type assignmentJSON struct {
 
 const planFormatVersion = 1
 
-// Encode writes the plan as JSON.
+// Encode writes the plan as indented JSON.
 func (p *Plan) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(p.wireFormat())
+}
+
+// Wire returns the plan's compact encoding: the JSON Encode writes, without
+// its indentation and trailing newline. Its bytes equal
+// json.Marshal(json.RawMessage(<Encode output>)), which is the form /plan
+// and /replan responses carry, so a server can keep them and write them
+// into every response without re-encoding or re-compacting.
+func (p *Plan) Wire() ([]byte, error) {
+	return json.Marshal(p.wireFormat())
+}
+
+// wireFormat builds the plan's stable wire format.
+func (p *Plan) wireFormat() planJSON {
 	out := planJSON{
 		Version:   planFormatVersion,
 		Model:     p.Model,
@@ -57,9 +73,7 @@ func (p *Plan) Encode(w io.Writer) error {
 		}
 		out.Weights = append(out.Weights, wj)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
 }
 
 // Decode reads a plan previously written by Encode. Structural sanity is

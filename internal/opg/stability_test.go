@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -30,7 +31,9 @@ import (
 // format, not the plans.
 const pinnedVersion = "lc-opg-6"
 
-// pinnedPlans maps a model abbreviation to the sha256 of Plan.Encode.
+// pinnedPlans maps a model abbreviation to the sha256 of Plan.Encode. Each
+// pinned plan's compact encoding (Plan.Wire) must also equal Encode's
+// output compacted the way a JSON response compacts it.
 var pinnedPlans = map[string]string{
 	"GPTN-S":   "68b81d7dfaf9c3394caedd4a2896b9500cb7ee40355d00dbda7588206257bfad",
 	"ResNet":   "1183aa285dcf78f0666dcdf19cb1a712f27e16ac5bac022e1e68c61767b5684a",
@@ -52,12 +55,17 @@ func TestPlanStabilityPin(t *testing.T) {
 
 	var table strings.Builder
 	var moved []string
+	var last *Plan
 	for _, abbr := range pinnedOrder {
 		plan := Solve(models.MustByAbbr(abbr).Build(), caps, cfg)
 		var buf bytes.Buffer
 		if err := plan.Encode(&buf); err != nil {
 			t.Fatalf("%s: encode: %v", abbr, err)
 		}
+		if err := checkWireParity(plan); err != nil {
+			t.Errorf("%s: %v", abbr, err)
+		}
+		last = plan
 		sum := sha256.Sum256(buf.Bytes())
 		got := hex.EncodeToString(sum[:])
 		fmt.Fprintf(&table, "\t%-11s %q,\n", strconv.Quote(abbr)+":", got)
@@ -65,6 +73,14 @@ func TestPlanStabilityPin(t *testing.T) {
 			moved = append(moved, abbr)
 		}
 	}
+	// A model name with HTML-special characters pins that both encodings
+	// escape them alike (encoding/json escapes <, > and & by default).
+	html := last.Clone()
+	html.Model = `<ViT> & "co"`
+	if err := checkWireParity(html); err != nil {
+		t.Errorf("HTML-escaped model name: %v", err)
+	}
+
 	if SolverVersion != pinnedVersion {
 		t.Fatalf("SolverVersion is %q but the pinned digests belong to %q: record the digests for the new version:\n%s",
 			SolverVersion, pinnedVersion, table.String())
@@ -73,4 +89,31 @@ func TestPlanStabilityPin(t *testing.T) {
 		t.Fatalf("plans of %v changed under SolverVersion %q: bump SolverVersion and record the digests again:\n%s",
 			moved, SolverVersion, table.String())
 	}
+}
+
+// compacted returns Encode's output compacted the way encoding/json
+// compacts a json.RawMessage inside a response: the bytes /plan and
+// /replan served before Plan.Wire existed.
+func compacted(p *Plan) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return json.Marshal(json.RawMessage(buf.Bytes()))
+}
+
+// checkWireParity requires Plan.Wire to equal the compacted Encode.
+func checkWireParity(p *Plan) error {
+	want, err := compacted(p)
+	if err != nil {
+		return fmt.Errorf("compacted encode: %w", err)
+	}
+	got, err := p.Wire()
+	if err != nil {
+		return fmt.Errorf("wire: %w", err)
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("Wire (%d bytes) differs from the compacted Encode (%d bytes)", len(got), len(want))
+	}
+	return nil
 }

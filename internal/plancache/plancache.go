@@ -47,6 +47,7 @@ type Cache struct {
 type entry struct {
 	key  string
 	prep *core.Prepared
+	wire []byte        // prep.Plan.Wire(), filled by the first Wire call; not persisted
 	cost time.Duration // recorded solve cost; persisted in snapshots
 }
 
@@ -76,6 +77,42 @@ func (c *Cache) Get(key string) (*core.Prepared, bool) {
 	return el.Value.(*entry).prep, true
 }
 
+// Wire returns the compact wire encoding (opg.Plan.Wire) of p, the
+// preparation cached under key. The first call per entry encodes it,
+// outside the cache lock, and keeps the bytes beside the entry, so later
+// calls — every warm hit a server answers — return them without encoding.
+// A Put of the same preparation keeps them; a different one drops them.
+// If key no longer holds p (evicted or replaced meanwhile), p is encoded
+// and nothing is kept. The bytes are shared and must not be modified.
+func (c *Cache) Wire(key string, p *core.Prepared) ([]byte, error) {
+	c.mu.Lock()
+	if en := c.holding(key, p); en != nil && en.wire != nil {
+		wire := en.wire
+		c.mu.Unlock()
+		return wire, nil
+	}
+	c.mu.Unlock()
+	wire, err := p.Plan.Wire()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if en := c.holding(key, p); en != nil {
+		en.wire = wire
+	}
+	c.mu.Unlock()
+	return wire, nil
+}
+
+// holding returns key's entry if it holds p, nil otherwise. Callers hold
+// c.mu.
+func (c *Cache) holding(key string, p *core.Prepared) *entry {
+	if el, ok := c.entries[key]; ok && el.Value.(*entry).prep == p {
+		return el.Value.(*entry)
+	}
+	return nil
+}
+
 // Put stores a preparation, evicting past the bound — cost-aware, see
 // insert. The value is retained by reference and must stay immutable.
 func (c *Cache) Put(key string, p *core.Prepared) {
@@ -93,7 +130,9 @@ func (c *Cache) Put(key string, p *core.Prepared) {
 func (c *Cache) insert(key string, p *core.Prepared, cost time.Duration) {
 	if el, ok := c.entries[key]; ok {
 		en := el.Value.(*entry)
-		en.prep = p
+		if en.prep != p {
+			en.prep, en.wire = p, nil
+		}
 		en.cost = cost
 		c.order.MoveToFront(el)
 		return

@@ -1,12 +1,14 @@
 package plancache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -200,7 +202,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(warm.Plan, cold.Plan) {
 		t.Error("persisted plan differs from cold solve")
 	}
-	if !reflect.DeepEqual(warm.Graph, cold.Graph) {
+	// Field by field rather than reflect.DeepEqual on the graphs: the cold
+	// graph carries a memoized fingerprint (PlanKey above computed it), the
+	// reloaded one does not yet.
+	if warm.Graph.Name != cold.Graph.Name || warm.Graph.DType != cold.Graph.DType ||
+		!reflect.DeepEqual(warm.Graph.Nodes(), cold.Graph.Nodes()) {
 		t.Error("persisted fused graph differs from cold solve")
 	}
 
@@ -780,4 +786,79 @@ func TestEvictionNeverDropsTheJustInsertedEntry(t *testing.T) {
 	if _, ok := c.Get("big-a"); ok {
 		t.Error("oldest equal-cost entry should have been evicted instead")
 	}
+}
+
+func wirePrep(model string) *core.Prepared {
+	return &core.Prepared{Plan: &opg.Plan{Model: model, ChunkSize: units.MB,
+		Weights: []opg.WeightPlan{{Weight: 1, Bytes: 3 * units.MB, Chunks: 3, Preload: true}}}}
+}
+
+// sameBacking reports whether two byte slices share their first byte,
+// i.e. one was handed out again rather than re-encoded.
+func sameBacking(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestWireKeptBesideEntry: an entry's compact plan bytes are encoded on
+// the first Wire call and handed out as-is afterwards; a refresh that
+// stores the same preparation keeps them, a different preparation drops
+// them, and a preparation the key no longer holds is encoded but not kept.
+func TestWireKeptBesideEntry(t *testing.T) {
+	c := New(0)
+	p, q := wirePrep("p"), wirePrep("q")
+	wantP, _ := p.Plan.Wire()
+	wantQ, _ := q.Plan.Wire()
+
+	c.Put("k", p)
+	first, err := c.Wire("k", p)
+	if err != nil || !bytes.Equal(first, wantP) {
+		t.Fatalf("first Wire = %s, %v; want %s", first, err, wantP)
+	}
+	if again, _ := c.Wire("k", p); !sameBacking(again, first) {
+		t.Error("second Wire re-encoded instead of returning the kept bytes")
+	}
+	c.Put("k", p) // the last-known-good refresh every healthy serve makes
+	if again, _ := c.Wire("k", p); !sameBacking(again, first) {
+		t.Error("a Put of the same preparation dropped the kept bytes")
+	}
+
+	c.Put("k", q)
+	fresh, err := c.Wire("k", q)
+	if err != nil || !bytes.Equal(fresh, wantQ) {
+		t.Fatalf("Wire after replacement = %s, %v; want %s", fresh, err, wantQ)
+	}
+	stray, err := c.Wire("k", p)
+	if err != nil || !bytes.Equal(stray, wantP) {
+		t.Fatalf("Wire of a replaced preparation = %s, %v; want %s", stray, err, wantP)
+	}
+	if again, _ := c.Wire("k", q); !sameBacking(again, fresh) {
+		t.Error("encoding a stray preparation overwrote the entry's bytes")
+	}
+	if _, err := c.Wire("gone", p); err != nil {
+		t.Errorf("Wire of an absent key: %v", err)
+	}
+}
+
+// TestWireConcurrentWithRefresh: concurrent first Wire calls and same-
+// preparation refreshes agree on the bytes (run under -race).
+func TestWireConcurrentWithRefresh(t *testing.T) {
+	c := New(0)
+	p := wirePrep("p")
+	want, _ := p.Plan.Wire()
+	c.Put("k", p)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				if got, err := c.Wire("k", p); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("Wire = %s, %v; want %s", got, err, want)
+					return
+				}
+				c.Put("k", p)
+			}
+		}()
+	}
+	wg.Wait()
 }

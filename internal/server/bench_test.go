@@ -42,6 +42,7 @@ func warmServer(b *testing.B) (*Server, http.Handler) {
 func BenchmarkPlanServeWarm(b *testing.B) {
 	_, h := warmServer(b)
 	lat := make([]time.Duration, 0, b.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -61,6 +62,7 @@ func BenchmarkPlanServeWarm(b *testing.B) {
 // warm key. Scheduling-dependent, so the bench gate treats it as advisory.
 func BenchmarkPlanServeWarmParallel(b *testing.B) {
 	_, h := warmServer(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	b.RunParallel(func(pb *testing.PB) {

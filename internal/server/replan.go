@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"errors"
@@ -149,7 +148,8 @@ type RepairSummary struct {
 // ReplanResponse is the POST /replan success body. Source is the
 // degradation-ladder rung that produced the plan ("repaired", "cold",
 // "cached_variant", "patched"); the plan itself is execution-ready for
-// the effective (throttled) device.
+// the effective (throttled) device, in the compact wire form
+// (opg.Plan.Wire), always present on a success body and always last.
 type ReplanResponse struct {
 	Device   string `json:"device"`
 	Model    string `json:"model"`
@@ -160,7 +160,7 @@ type ReplanResponse struct {
 	Repair RepairSummary `json:"repair"`
 
 	Summary Summary         `json:"summary"`
-	Plan    json.RawMessage `json:"plan"`
+	Plan    json.RawMessage `json:"plan,omitempty"`
 }
 
 // fusedGraphFor memoizes the fused graph per model — the graph every
@@ -284,8 +284,8 @@ func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 	s.replanCtr.windowsKept.Add(int64(rsum.WindowsKept))
 	s.replanCtr.windowsResolved.Add(int64(rsum.WindowsResolved))
 
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
+	wire, err := plan.Wire()
+	if err != nil {
 		s.fail(w, t0, http.StatusInternalServerError, false, codeInternal, fmt.Sprintf("encode plan: %v", err))
 		return
 	}
@@ -305,11 +305,8 @@ func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 			SolverWindows:   plan.Stats.Windows,
 			SolverBranches:  plan.Stats.Branches,
 		},
-		Plan: json.RawMessage(buf.Bytes()),
 	}
-	s.serveHist.observe(time.Since(t0))
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&resp)
+	s.writeWithPlan(w, t0, &resp, wire)
 }
 
 // replanLadder walks the degradation ladder for one lineage under the

@@ -23,11 +23,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -440,8 +440,9 @@ type Summary struct {
 }
 
 // PlanResponse is the POST /plan success body. Plan carries the overlap
-// plan in its stable wire format — byte-identical to what a direct
-// flashmem solve encodes for the same key.
+// plan in its stable wire format, compacted: byte-identical to the compact
+// form (opg.Plan.Wire) of what a direct flashmem solve encodes for the
+// same key. It is always present on a success body and always last.
 type PlanResponse struct {
 	Device string `json:"device"`
 	Model  string `json:"model"`
@@ -462,7 +463,7 @@ type PlanResponse struct {
 	WaitMS         float64 `json:"wait_ms"`
 
 	Summary Summary         `json:"summary"`
-	Plan    json.RawMessage `json:"plan"`
+	Plan    json.RawMessage `json:"plan,omitempty"`
 }
 
 // errorResponse is every non-200 body: prose for humans, a stable code
@@ -650,8 +651,21 @@ func (s *Server) serveReason(w http.ResponseWriter, t0 time.Time, req *PlanReque
 		// not take the degraded fallback with it.
 		s.stale.Put(key, prep)
 	}
-	var buf bytes.Buffer
-	if err := prep.Plan.Encode(&buf); err != nil {
+	// A hit serves the plan bytes its store keeps beside the entry, encoded
+	// on the entry's first hit: everything in them depends only on the key.
+	// A fresh solve encodes its plan once and keeps nothing, so plans that
+	// are never asked for again cost no memory beyond the entry.
+	var wire []byte
+	var err error
+	switch source {
+	case "warm", "cached":
+		wire, err = s.cache.Wire(key, prep)
+	case "degraded":
+		wire, err = s.stale.Wire(key, prep)
+	default:
+		wire, err = prep.Plan.Wire()
+	}
+	if err != nil {
 		s.fail(w, t0, http.StatusInternalServerError, false, codeInternal, fmt.Sprintf("encode plan: %v", err))
 		return
 	}
@@ -672,13 +686,29 @@ func (s *Server) serveReason(w http.ResponseWriter, t0 time.Time, req *PlanReque
 			SolverWindows:   prep.Plan.Stats.Windows,
 			SolverBranches:  prep.Plan.Stats.Branches,
 		},
-		Plan: json.RawMessage(buf.Bytes()),
+	}
+	s.writeWithPlan(w, t0, &resp, wire)
+}
+
+// writeWithPlan writes a success body: resp, a PlanResponse or
+// ReplanResponse with Plan left empty (and so omitted), with wire spliced
+// in as its final "plan" field. The body is byte-identical to
+// json.NewEncoder(w).Encode of resp with Plan set to wire — wire is
+// already compact, so the encoder's re-compaction of it would change
+// nothing — but the plan is neither copied nor re-scanned.
+func (s *Server) writeWithPlan(w http.ResponseWriter, t0 time.Time, resp any, wire []byte) {
+	head, err := json.Marshal(resp)
+	if err != nil {
+		s.fail(w, t0, http.StatusInternalServerError, false, codeInternal, fmt.Sprintf("encode response: %v", err))
+		return
 	}
 	s.serveHist.observe(time.Since(t0))
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(&resp); err != nil {
-		return // client went away mid-write; nothing to do
-	}
+	// Write errors mean the client went away mid-write; nothing to do.
+	_, _ = w.Write(head[:len(head)-1])
+	_, _ = io.WriteString(w, `,"plan":`)
+	_, _ = w.Write(wire)
+	_, _ = io.WriteString(w, "}\n")
 }
 
 // fail writes an error response; retryable failures get a Retry-After.

@@ -51,10 +51,10 @@ func newFleet() *flashmem.Fleet {
 	return flashmem.NewFleet(nil, flashmem.WithSolverBudget(5*time.Second, 500))
 }
 
-// canonicalPlan round-trips a served plan through the wire format. The
-// HTTP layer compacts the embedded plan JSON (encoding/json compacts
-// RawMessage), so byte-identity against a direct solve is checked on the
-// canonical Encode form, which is deterministic per plan.
+// canonicalPlan round-trips a served plan through the wire format. A
+// response carries the plan's compact form (opg.Plan.Wire), so
+// byte-identity against a direct solve is checked on the canonical Encode
+// form, which is deterministic per plan.
 func canonicalPlan(t *testing.T, raw []byte) []byte {
 	t.Helper()
 	p, err := opg.Decode(bytes.NewReader(raw))
