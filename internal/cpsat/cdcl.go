@@ -19,10 +19,7 @@
 // explains.
 package cpsat
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // search runs the iterative CDCL branch-and-bound loop. It reports whether
 // the search completed (proved optimality or infeasibility); false with
@@ -376,8 +373,8 @@ func (s *searcher) bumpClause(k int) {
 // order, the UIP literal last), the assertion level to backjump to,
 // whether the clause is pure (its derivation never touched the objective
 // row, an objective-tainted nogood, or a tainted root — hence implied by
-// the hard constraints alone and exportable across solves), and ok=false
-// when the conflict resolves to the empty nogood — the root is refuted.
+// the hard constraints alone), and ok=false when the conflict resolves to
+// the empty nogood — the root is refuted.
 func (s *searcher) analyze() (learned []lit, bj int, pure bool, ok bool) {
 	pure = !s.rootTainted
 	for len(s.seen) < len(s.trail) {
@@ -481,7 +478,7 @@ func (s *searcher) analyze() (learned []lit, bj int, pure bool, ok bool) {
 	// are all covered by the nogood (or the root) is redundant. Coverage
 	// follows trail order, so removals cannot be circular. A pure clause
 	// refuses removals through tainted reasons — they would smuggle an
-	// objective dependency into an exportable clause.
+	// objective dependency into a clause marked pure.
 	kept := s.outPos[:0]
 	for _, p := range s.outPos {
 		if s.litRedundant(p, pure) {
@@ -627,9 +624,6 @@ func (s *searcher) installLearned(lits []lit, pure bool) bool {
 	case 0:
 		return false
 	case 1:
-		if pure {
-			s.unitExports = append(s.unitExports, lits[0])
-		}
 		s.curReason = reasonAssert
 		return s.negateLit(lits[0])
 	}
@@ -643,9 +637,9 @@ func (s *searcher) installLearned(lits []lit, pure bool) bool {
 		// Too wide to propagate usefully: keep it out of the watch lists
 		// entirely and use it only as the assertion's reason (the {-1,-1}
 		// watch sentinel marks it reason-only; impure reason-only clauses
-		// are dropped at the next database reduction, pure ones survive as
-		// export candidates). The UIP's negation is asserted here directly
-		// since no unit propagation will fire for it.
+		// are dropped at the next database reduction, pure ones survive).
+		// The UIP's negation is asserted here directly since no unit
+		// propagation will fire for it.
 		s.ngW = append(s.ngW, [2]int32{-1, -1})
 		s.curReason = base + id
 		return s.negateLit(lits[len(lits)-1])
@@ -662,22 +656,21 @@ func (s *searcher) installLearned(lits []lit, pure bool) bool {
 	return true
 }
 
-// reduceDB halves the learned-clause store when it overflows the current
-// dbMax budget (which then grows by half, up to maxNogoods): imported
-// clauses and short (≤3-literal) ones survive unconditionally, the rest by
-// activity. It must run at level 0 with an empty queue — after a restart's
+// reduceDB halves the watched learned-clause store when it overflows the
+// current dbMax budget (which then grows by half, up to maxNogoods): short
+// (≤3-literal) clauses survive unconditionally, the rest by activity.
+// Impure reason-only clauses are dropped at every reduction; pure ones are
+// kept. It must run at level 0 with an empty queue — after a restart's
 // backjump — since it renumbers nogood ids and rebuilds their watch lists.
 func (s *searcher) reduceDB() {
 	staleRO := 0 // impure reason-only clauses: dead weight, dropped outright
-	for id := s.importedCnt; id < len(s.nogoods); id++ {
-		if s.ngW[id][0] < 0 && !s.ngPure[id] {
-			staleRO++
-		}
-	}
 	watched := 0
-	for id := s.importedCnt; id < len(s.nogoods); id++ {
-		if s.ngW[id][0] >= 0 {
+	for id := range s.nogoods {
+		switch {
+		case s.ngW[id][0] >= 0:
 			watched++
+		case !s.ngPure[id]:
+			staleRO++
 		}
 	}
 	if watched <= s.dbMax && staleRO == 0 {
@@ -694,7 +687,7 @@ func (s *searcher) reduceDB() {
 			act float64
 		}
 		var long []cand
-		for id := s.importedCnt; id < len(s.nogoods); id++ {
+		for id := range s.nogoods {
 			if s.ngW[id][0] >= 0 && len(s.nogoods[id]) > 3 {
 				long = append(long, cand{id: int32(id), act: s.ngActivity[id]})
 			}
@@ -717,7 +710,7 @@ func (s *searcher) reduceDB() {
 	ngW := s.ngW[:0]
 	for id := 0; id < len(s.nogoods); id++ {
 		reasonOnly := s.ngW[id][0] < 0
-		if drop[int32(id)] || (id >= s.importedCnt && reasonOnly && !s.ngPure[id]) {
+		if drop[int32(id)] || (reasonOnly && !s.ngPure[id]) {
 			continue
 		}
 		lits := s.nogoods[id]
@@ -748,124 +741,4 @@ func (s *searcher) reduceDB() {
 		s.regNgWatch(int32(id), lits[len(lits)-1])
 		s.regNgWatch(int32(id), lits[len(lits)-2])
 	}
-}
-
-// installImports installs Options.Import nogoods at the root: literals the
-// root domains refute kill their nogood (it can never fire), entailed
-// literals are dropped, an emptied nogood refutes the root outright, a
-// unit one is enforced permanently, and the rest get two watches. It
-// reports false when the root is refuted.
-func (s *searcher) installImports(imports []Nogood) bool {
-	for _, ng := range imports {
-		kept := make([]lit, 0, len(ng.Lits))
-		dead := false
-		for _, L := range ng.Lits {
-			if int(L.Var) < 0 || int(L.Var) >= len(s.lo) {
-				panic(fmt.Sprintf("cpsat: imported nogood names var %d of %d", L.Var, len(s.lo)))
-			}
-			l := lit{v: int32(L.Var), ge: L.Ge, bound: L.Bound}
-			var never, always bool
-			if l.ge {
-				never, always = s.hi[l.v] < l.bound, s.lo[l.v] >= l.bound
-			} else {
-				never, always = s.lo[l.v] > l.bound, s.hi[l.v] <= l.bound
-			}
-			if never {
-				dead = true
-				break
-			}
-			if !always {
-				kept = append(kept, l)
-			}
-		}
-		if dead {
-			continue
-		}
-		s.imported++
-		switch len(kept) {
-		case 0:
-			return false
-		case 1:
-			s.curReason = reasonAssert
-			if !s.negateLit(kept[0]) {
-				return false
-			}
-		default:
-			if s.ngWatchLo == nil {
-				s.ngWatchLo = make([][]ngWatch, len(s.lo))
-				s.ngWatchHi = make([][]ngWatch, len(s.lo))
-			}
-			id := int32(len(s.nogoods))
-			s.nogoods = append(s.nogoods, kept)
-			s.ngActivity = append(s.ngActivity, 0)
-			// Imports are implied by the hard constraints (the caller's
-			// ImportCompatible obligation), so derivations through them
-			// stay pure; they are still never re-exported (importedCnt).
-			s.ngPure = append(s.ngPure, true)
-			s.inQueue = append(s.inQueue, false)
-			w0, w1 := int32(len(kept)-1), int32(len(kept)-2)
-			s.ngW = append(s.ngW, [2]int32{w0, w1})
-			s.regNgWatch(id, kept[w0])
-			s.regNgWatch(id, kept[w1])
-		}
-	}
-	s.importedCnt = len(s.nogoods)
-	return true
-}
-
-// exportNogoods converts the surviving pure clauses (plus pure root-unit
-// assertions) to the public form.
-func (s *searcher) exportNogoods() []Nogood {
-	var out []Nogood
-	for _, l := range s.unitExports {
-		out = append(out, Nogood{Lits: []Lit{{Var: Var(l.v), Ge: l.ge, Bound: l.bound}}})
-	}
-	for id := s.importedCnt; id < len(s.nogoods); id++ {
-		if !s.ngPure[id] {
-			continue
-		}
-		lits := make([]Lit, len(s.nogoods[id]))
-		for i, l := range s.nogoods[id] {
-			lits[i] = Lit{Var: Var(l.v), Ge: l.ge, Bound: l.bound}
-		}
-		out = append(out, Nogood{Lits: lits})
-	}
-	return out
-}
-
-// ImportCompatible reports whether nogoods exported by a solve of from are
-// valid to import into a solve of to: to must be uniformly at least as
-// tight — same variables with domains contained in from's, the same linear
-// rows (identical terms, bounds contained), identical implications. Then
-// every assignment feasible for to's hard constraints is feasible for
-// from's, so anything from refuted stays refuted. Objectives are ignored:
-// exported nogoods are derived from hard constraints alone.
-func ImportCompatible(from, to *Model) bool {
-	if len(from.lo) != len(to.lo) ||
-		len(from.linears) != len(to.linears) ||
-		len(from.implies) != len(to.implies) {
-		return false
-	}
-	for i := range from.lo {
-		if to.lo[i] < from.lo[i] || to.hi[i] > from.hi[i] {
-			return false
-		}
-	}
-	for i := range from.linears {
-		a, b := &from.linears[i], &to.linears[i]
-		if len(a.vars) != len(b.vars) || b.lo < a.lo || b.hi > a.hi {
-			return false
-		}
-		for j := range a.vars {
-			if a.vars[j] != b.vars[j] || a.coefs[j] != b.coefs[j] {
-				return false
-			}
-		}
-	}
-	for i := range from.implies {
-		if from.implies[i] != to.implies[i] {
-			return false
-		}
-	}
-	return true
 }

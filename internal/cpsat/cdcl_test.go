@@ -1,9 +1,6 @@
 package cpsat
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // White-box tests for the CDCL core: conflicts are staged on hand-built
 // models by driving the searcher directly — root propagation, manual
@@ -196,7 +193,7 @@ func TestAnalyzeMinimizesImpliedLiteral(t *testing.T) {
 // pigeonModel builds the pigeonhole principle PHP(n, n-1): n pigeons into
 // n-1 holes, one 0/1 var per (pigeon, hole) pair. Infeasible, objective
 // free, and — unlike a root wipeout — only provable by search, so the
-// refutation exercises conflict analysis and every learned clause is pure.
+// refutation exercises conflict analysis.
 func pigeonModel(n int) *Model {
 	m := NewModel()
 	holes := n - 1
@@ -227,171 +224,14 @@ func pigeonModel(n int) *Model {
 	return m
 }
 
-// TestInfeasibleRefutationExportsAndTransfers: an objective-free
-// infeasibility proof is pure by construction, so its surviving nogoods
-// must be exported, and importing them into a fresh identical model must
-// be accepted (ImportedNogoods > 0) with the verdict unchanged.
-func TestInfeasibleRefutationExportsAndTransfers(t *testing.T) {
-	m := pigeonModel(5)
-	res := m.Solve(Options{})
+// TestInfeasibleRefutation: PHP(5,4) has no root wipeout, so the
+// infeasibility proof must come from search, through conflict analysis.
+func TestInfeasibleRefutation(t *testing.T) {
+	res := pigeonModel(5).Solve(Options{})
 	if res.Status != Infeasible {
 		t.Fatalf("PHP(5,4) status %v, want Infeasible", res.Status)
 	}
 	if res.Conflicts == 0 {
 		t.Fatal("refutation reported zero conflicts — analysis never ran")
 	}
-	if len(res.Learned) == 0 {
-		t.Fatal("pure refutation exported no nogoods")
-	}
-
-	m2 := pigeonModel(5)
-	if !ImportCompatible(m, m2) {
-		t.Fatal("identical models must be import-compatible")
-	}
-	res2 := m2.Solve(Options{Import: res.Learned})
-	if res2.Status != Infeasible {
-		t.Fatalf("re-solve with imports: status %v, want Infeasible", res2.Status)
-	}
-	if res2.ImportedNogoods == 0 {
-		t.Fatal("no imported nogood survived installation on an identical model")
-	}
-	if res2.Branches > res.Branches {
-		t.Fatalf("imports made the refutation harder: %d branches vs %d cold",
-			res2.Branches, res.Branches)
-	}
-}
-
-// TestExportedNogoodsImpliedByHardConstraints is the semantic purity
-// gate: every exported nogood from a solve *with an objective* must be
-// implied by the hard constraints alone. For each exported clause, a
-// fresh objective-free copy of the model plus rows enforcing every
-// literal simultaneously must be infeasible — if an incumbent-derived
-// (impure) clause ever leaked through the export filter, some clause
-// would only be valid under the objective bound and this check would
-// find a witness. The re-proof runs on the fixpoint reference, not on the
-// engine under test, so a CDCL bug cannot vouch for its own clauses.
-func TestExportedNogoodsImpliedByHardConstraints(t *testing.T) {
-	build := func(withObj bool) *Model {
-		m := NewModel()
-		n := 6
-		vars := make([]Var, n)
-		for i := range vars {
-			vars[i] = m.NewIntVar(0, 3, "x")
-		}
-		weights := []int64{5, 4, 3, 3, 2, 1}
-		m.AddLinearLE(vars, weights, 9)
-		m.AddLinearRange(vars, []int64{1, 1, 1, 1, 1, 1}, 4, 18)
-		for i := 0; i+1 < n; i++ {
-			m.AddImplication(vars[i], 2, vars[i+1], 1)
-		}
-		if withObj {
-			m.Minimize(vars, []int64{-3, -2, -4, -1, -2, -1})
-		}
-		return m
-	}
-
-	res := build(true).Solve(Options{})
-	if res.Status != Optimal {
-		t.Fatalf("status %v, want Optimal", res.Status)
-	}
-	if len(res.Learned) == 0 {
-		t.Skip("no pure nogoods exported from this trajectory")
-	}
-	for i, ng := range res.Learned {
-		m := build(false)
-		for _, l := range ng.Lits {
-			if l.Ge {
-				m.AddLinearRange([]Var{Var(l.Var)}, []int64{1}, l.Bound, math.MaxInt64/8)
-			} else {
-				m.AddLinearLE([]Var{Var(l.Var)}, []int64{1}, l.Bound)
-			}
-		}
-		if got := refSolve(m, Options{}); got.Status != Infeasible {
-			t.Fatalf("exported nogood %d (%v) is not implied by the hard constraints: %v",
-				i, ng.Lits, got.Status)
-		}
-	}
-}
-
-// TestImportCompatibleDirection pins the compatibility relation
-// warm-started plan repair relies on: imports flow from a looser model to
-// a uniformly tighter one, never the reverse, and never across structural
-// changes.
-func TestImportCompatibleDirection(t *testing.T) {
-	build := func(cap int64, hi int64) *Model {
-		m := NewModel()
-		a := m.NewIntVar(0, hi, "a")
-		b := m.NewIntVar(0, hi, "b")
-		m.AddLinearLE([]Var{a, b}, []int64{2, 3}, cap)
-		m.AddImplication(a, 1, b, 4)
-		return m
-	}
-	loose := build(10, 5)
-	tight := build(8, 4)
-
-	if !ImportCompatible(loose, loose) {
-		t.Fatal("a model must be import-compatible with itself")
-	}
-	if !ImportCompatible(loose, tight) {
-		t.Fatal("loose -> tight must be compatible")
-	}
-	if ImportCompatible(tight, loose) {
-		t.Fatal("tight -> loose must be rejected: clauses need not hold on a looser model")
-	}
-
-	structural := NewModel()
-	a := structural.NewIntVar(0, 5, "a")
-	b := structural.NewIntVar(0, 5, "b")
-	structural.AddLinearLE([]Var{a, b}, []int64{2, 4}, 10)
-	structural.AddImplication(a, 1, b, 4)
-	if ImportCompatible(loose, structural) {
-		t.Fatal("differing row coefficients must be rejected")
-	}
-}
-
-// TestImportInstallationFilter pins the two reductions installImports
-// applies at the importer's root: a literal that already holds everywhere
-// is dropped (the clause shrinks), and a clause containing a literal that
-// can never hold is vacuously satisfied and discarded entirely — it must
-// not count toward ImportedNogoods.
-func TestImportInstallationFilter(t *testing.T) {
-	build := func() (*Model, Var, Var) {
-		m := NewModel()
-		a := m.NewIntVar(0, 2, "a")
-		b := m.NewIntVar(0, 2, "b")
-		m.AddLinearLE([]Var{a, b}, []int64{1, 1}, 3)
-		return m, a, b
-	}
-
-	// ¬(a ≥ 0 ∧ b ≥ 1): a ≥ 0 always holds, so the clause reduces to the
-	// unit ¬(b ≥ 1) and pins b to 0 at the root.
-	m, a, b := build()
-	res := m.Solve(Options{Import: []Nogood{{Lits: []Lit{
-		{Var: a, Ge: true, Bound: 0},
-		{Var: b, Ge: true, Bound: 1},
-	}}}})
-	if res.Status != Optimal && res.Status != Feasible {
-		t.Fatalf("status %v", res.Status)
-	}
-	if res.ImportedNogoods != 1 {
-		t.Fatalf("ImportedNogoods = %d, want 1", res.ImportedNogoods)
-	}
-	if res.Values[b] != 0 {
-		t.Fatalf("reduced unit clause should pin b to 0, got %d", res.Values[b])
-	}
-
-	// ¬(a ≥ 3 ∧ b ≥ 1): a ≥ 3 is outside a's domain, the conjunction can
-	// never hold, and the clause must be dropped without constraining b.
-	m, a, b = build()
-	res = m.Solve(Options{Import: []Nogood{{Lits: []Lit{
-		{Var: a, Ge: true, Bound: 3},
-		{Var: b, Ge: true, Bound: 1},
-	}}}})
-	if res.ImportedNogoods != 0 {
-		t.Fatalf("ImportedNogoods = %d, want 0 (vacuous clause)", res.ImportedNogoods)
-	}
-	if res.Status != Optimal && res.Status != Feasible {
-		t.Fatalf("status %v after dropping a vacuous import", res.Status)
-	}
-	_ = b
 }

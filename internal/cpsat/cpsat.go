@@ -133,21 +133,6 @@ func (m *Model) Minimize(vars []Var, coefs []int64) {
 	m.hasObj = true
 }
 
-// Lit is a public bound literal: Var ≥ Bound when Ge, else Var ≤ Bound.
-// Imported and exported nogoods are conjunctions of literals whose joint
-// truth the solver has proven impossible.
-type Lit struct {
-	Var   Var
-	Ge    bool
-	Bound int64
-}
-
-// Nogood is one learned (or importable) clause: the conjunction of its
-// literals cannot hold in any solution of the model it was derived from.
-type Nogood struct {
-	Lits []Lit
-}
-
 // Options bounds the search.
 type Options struct {
 	TimeLimit   time.Duration // wall-clock budget; 0 = no limit
@@ -157,14 +142,6 @@ type Options struct {
 	// it by the Luby sequence (1,1,2,1,1,2,4,…). 0 means the package
 	// default.
 	RestartBase int64
-
-	// Import seeds the solve with externally learned nogoods, installed at
-	// the root alongside the model's own constraints. The caller must
-	// guarantee each nogood is implied by this model's hard constraints
-	// (e.g. it was exported by a solve of a uniformly looser model — see
-	// ImportCompatible); the solver trusts them. Nogoods refuted or
-	// entailed by the root domains are filtered, not errors.
-	Import []Nogood
 }
 
 // defaultRestartBase is the Luby unit: easy solves finish well under it and
@@ -187,7 +164,9 @@ const initialDBMax = maxNogoods
 // lists every solve long, so it is stored un-watched purely as the
 // assertion's reason. Impure reason-only clauses are dead weight once
 // their assertion unwinds and are dropped at the next database reduction;
-// pure ones are kept for export.
+// pure ones are kept. Which clauses a reduction keeps decides when it
+// renumbers the store and rebuilds the watch lists, so changing the rule
+// moves search trajectories and plans.
 const reasonOnlyLen = 4
 
 // Result is a solve outcome.
@@ -196,24 +175,16 @@ type Result struct {
 	Values    []int64
 	Objective int64
 
-	Branches        int64
-	Propagations    int64 // propagator executions (queue pops)
-	Wakes           int64 // constraint activations scheduled by bound changes
-	TrailOps        int64 // bound changes pushed to (and undone from) the trail
-	Nogoods         int64 // learned nogoods installed (incl. root-unit ones)
-	Restarts        int64 // Luby restarts performed
-	Conflicts       int64 // conflicts hit (wipeouts, violated rows, re-entered nogoods)
-	Backjumps       int64 // non-chronological backjumps (skipping over ≥1 intact level)
-	MinimizedLits   int64 // literals removed from learned nogoods by self-subsumption
-	ImportedNogoods int64 // Options.Import nogoods actually installed (post-filtering)
-	Elapsed         time.Duration
-
-	// Learned is the surviving set of exported nogoods: clauses derived
-	// before the first incumbent (hence implied by the hard constraints
-	// alone, never by the solve-local objective bound) that were still in
-	// the database when the solve ended. Imported nogoods are not
-	// re-exported.
-	Learned []Nogood
+	Branches      int64
+	Propagations  int64 // propagator executions (queue pops)
+	Wakes         int64 // constraint activations scheduled by bound changes
+	TrailOps      int64 // bound changes pushed to (and undone from) the trail
+	Nogoods       int64 // learned nogoods installed (incl. root-unit ones)
+	Restarts      int64 // Luby restarts performed
+	Conflicts     int64 // conflicts hit (wipeouts, violated rows, re-entered nogoods)
+	Backjumps     int64 // non-chronological backjumps (skipping over ≥1 intact level)
+	MinimizedLits int64 // literals removed from learned nogoods by self-subsumption
+	Elapsed       time.Duration
 
 	// TimedOut reports that the wall clock expired mid-search. A solve cut
 	// short only by MaxBranches leaves it false: branch budgets are
@@ -257,7 +228,7 @@ type trailEntry struct {
 // Reason codes for trail entries that were not forced by a constraint.
 const (
 	reasonDecision int32 = -1 // a branch decision
-	reasonAssert   int32 = -2 // root-level enforcement (unit nogood, import)
+	reasonAssert   int32 = -2 // root-level enforcement (unit nogood)
 )
 
 // lit is a bound literal: x ≥ bound when ge, else x ≤ bound. Every branch
@@ -354,25 +325,23 @@ type searcher struct {
 
 	// Learned-clause metadata: per-nogood activity (bumped when a clause
 	// appears in an analysis, decayed MiniSat-style) drives database
-	// reduction; ngPure marks clauses whose derivation never touched the
+	// reduction. ngPure marks clauses whose derivation never touched the
 	// objective row (directly, through a tainted nogood reason, or through
-	// a tainted root) — implied by the hard constraints alone, so valid in
-	// any ImportCompatible-tighter model; importedCnt is the count of
-	// Options.Import clauses occupying the low ids (never reduced, never
-	// re-exported). rootTainted flips once any objective-dependent fact
-	// lands at level 0, after which no new derivation can claim purity
-	// (level-0 entries are treated as free facts by conflict analysis).
+	// a tainted root), i.e. clauses implied by the hard constraints alone.
+	// Purity steers the search in two places: reduceDB keeps pure
+	// reason-only clauses and drops impure ones, and while a pure clause is
+	// being minimized litRedundant refuses tainted reasons. rootTainted
+	// flips once any objective-dependent fact lands at level 0, after which
+	// no new derivation is pure (conflict analysis treats level-0 entries
+	// as free facts).
 	ngActivity  []float64
 	ngInc       float64
 	ngPure      []bool
-	importedCnt int
 	rootTainted bool
-	dbMax       int   // current watched-clause budget; grows geometrically per reduction up to maxNogoods
-	unitExports []lit // pure root-unit assertions (single-literal nogoods)
+	dbMax       int // current watched-clause budget; grows geometrically per reduction up to maxNogoods
 
 	backjumps int64
 	minimized int64
-	imported  int64
 
 	deadline    time.Time
 	hasLimit    bool
@@ -400,8 +369,6 @@ func (m *Model) Solve(opts Options) Result {
 	switch {
 	case s.rootInfeasible:
 		complete = true
-	case !s.installImports(opts.Import):
-		complete = true // an imported nogood refutes the root domains outright
 	case !s.propagateRoot():
 		complete = !s.timedOut // root wipeout is proven unless the clock cut the fixpoint short
 	default:
@@ -409,19 +376,17 @@ func (m *Model) Solve(opts Options) Result {
 	}
 
 	res := Result{
-		Branches:        s.branches,
-		Propagations:    s.props,
-		Wakes:           s.wakes,
-		TrailOps:        s.trailOps,
-		Nogoods:         s.learned,
-		Restarts:        s.restarts,
-		Conflicts:       s.conflicts,
-		Backjumps:       s.backjumps,
-		MinimizedLits:   s.minimized,
-		ImportedNogoods: s.imported,
-		Elapsed:         time.Since(start),
-		TimedOut:        s.timeExpired,
-		Learned:         s.exportNogoods(),
+		Branches:      s.branches,
+		Propagations:  s.props,
+		Wakes:         s.wakes,
+		TrailOps:      s.trailOps,
+		Nogoods:       s.learned,
+		Restarts:      s.restarts,
+		Conflicts:     s.conflicts,
+		Backjumps:     s.backjumps,
+		MinimizedLits: s.minimized,
+		Elapsed:       time.Since(start),
+		TimedOut:      s.timeExpired,
 	}
 	switch {
 	case s.hasBest && (complete || !m.hasObj):

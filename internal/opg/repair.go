@@ -19,8 +19,8 @@ import (
 // canonical read trace replays exactly is kept as-is (the replay theorem
 // from window.go — equal reads imply the solve would reproduce the result
 // byte for byte), and only the windows the event actually touched are
-// re-solved. Re-solves can optionally warm-start from the retained rung
-// records through the cpsat nogood-import surface.
+// re-solved, cold, on the post-event state. A repaired plan is therefore
+// byte-identical to a from-scratch solve of that state.
 //
 // The first window a budget drop affects is found by the replay itself:
 // earlier windows replay clean (their reads are insensitive to the event),
@@ -52,10 +52,10 @@ var ErrRepairIncompatible = errors.New("opg: config change outside MPeak require
 
 // Repairable is a solved plan plus everything needed to repair it in place:
 // the enumerated windows and each window's full solve result — plan
-// entries, state deltas, canonical read trace, and CP rung records for
-// warm-started re-solves. Build one with SolveRepairable; its plan is
-// byte-identical to Solve on the same inputs. A Repairable is not safe for
-// concurrent use; callers serialize Repair/GreedyPatch/Plan.
+// entries, state deltas and canonical read trace. Build one with
+// SolveRepairable; its plan is byte-identical to Solve on the same inputs.
+// A Repairable is not safe for concurrent use; callers serialize
+// Repair/GreedyPatch/Plan.
 type Repairable struct {
 	g       *graph.Graph
 	caps    Capacity
@@ -63,18 +63,6 @@ type Repairable struct {
 	wins    []window
 	results []*windowResult
 	plan    *Plan
-}
-
-// solveWindowRecorded runs one window's ladder with full read tracing and
-// rung-record capture, optionally warm-seeded from a prior result's
-// records. It is the repair path's variant of solveWindow: sequential and
-// pipeline solves never record rungs, but every repairable window is a
-// potential future warm start.
-func solveWindowRecorded(cfg *Config, win window, baseCap []int, baseIn []int64, warm *windowResult) *windowResult {
-	ws := newWinSolver(cfg, win, baseCap, baseIn, true)
-	ws.warm, ws.recordExports = warm, true
-	ws.solveBatch(win.batch)
-	return ws.finish()
 }
 
 // newRepairSolver builds the solver shell shared by SolveRepairable,
@@ -114,8 +102,8 @@ func normConfig(cfg Config) Config {
 
 // SolveRepairable runs a traced sequential LC-OPG solve and retains the
 // per-window machinery for later repair. The resulting plan is
-// byte-identical to Solve(g, caps, cfg): tracing and rung recording only
-// observe the solve, they never steer it.
+// byte-identical to Solve(g, caps, cfg): tracing only observes the solve,
+// it never steers it.
 func SolveRepairable(g *graph.Graph, caps Capacity, cfg Config) *Repairable {
 	cfg = normConfig(cfg)
 	s := newRepairSolver(g, caps, cfg)
@@ -128,7 +116,7 @@ func SolveRepairable(g *graph.Graph, caps Capacity, cfg Config) *Repairable {
 	wins := enumerateWindows(weights, cfg.Window)
 	results := make([]*windowResult, len(wins))
 	for i, win := range wins {
-		res := solveWindowRecorded(&s.cfg, win, s.capRemaining, s.inflight, nil)
+		res := solveWindow(&s.cfg, win, s.capRemaining, s.inflight, true)
 		results[i] = res
 		s.apply(res)
 	}
@@ -178,19 +166,12 @@ type RepairOptions struct {
 	// that exceeds it aborts with ErrRepairBudget, leaving the Repairable
 	// untouched — the degradation ladder takes over from there.
 	Budget time.Duration
-
-	// ImportNogoods warm-starts each re-solved window from the retained
-	// rung records via cpsat.ImportCompatible. Imports change the CP search
-	// trajectory, so repaired plans may differ from (while remaining as
-	// valid as) a cold solve's — an explicit opt-in.
-	ImportNogoods bool
 }
 
 // RepairStats summarizes one repair pass.
 type RepairStats struct {
 	WindowsKept     int           // windows whose traces replayed clean
 	WindowsResolved int           // windows re-solved on the post-event state
-	ImportedNogoods int64         // nogoods installed by warm re-solves
 	Elapsed         time.Duration // wall clock of the whole pass
 }
 
@@ -198,10 +179,10 @@ type RepairStats struct {
 // capacities (thermal throttling reshapes the cost model) and/or a new
 // in-flight budget (cfg.MPeak). Windows whose canonical reads replay
 // unchanged against the new state are kept; the rest re-solve. On success
-// the Repairable holds the repaired plan — without ImportNogoods it is
-// byte-identical to a from-scratch Solve on the post-event scenario, the
-// property the differential test in repair_test.go pins down. On error
-// (budget exceeded, incompatible config) the Repairable is unchanged.
+// the Repairable holds the repaired plan, byte-identical to a from-scratch
+// Solve on the post-event scenario — the property the differential test in
+// repair_test.go pins down. On error (budget exceeded, incompatible config)
+// the Repairable is unchanged.
 func (r *Repairable) Repair(caps Capacity, cfg Config, opts RepairOptions) (RepairStats, error) {
 	cfg = normConfig(cfg)
 	if err := r.compatible(cfg); err != nil {
@@ -226,15 +207,10 @@ func (r *Repairable) Repair(caps Capacity, cfg Config, opts RepairOptions) (Repa
 			st.WindowsKept++
 			continue
 		}
-		var warm *windowResult
-		if opts.ImportNogoods {
-			warm = old
-		}
-		res := solveWindowRecorded(&s.cfg, win, s.capRemaining, s.inflight, warm)
+		res := solveWindow(&s.cfg, win, s.capRemaining, s.inflight, true)
 		results[i] = res
 		s.apply(res)
 		st.WindowsResolved++
-		st.ImportedNogoods += res.stats.importedNogoods
 	}
 	sort.Slice(s.plan.Weights, func(i, j int) bool {
 		return s.plan.Weights[i].Weight < s.plan.Weights[j].Weight

@@ -3,10 +3,11 @@ package opg
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/cpsat"
 	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -53,45 +54,88 @@ func TestSolveRepairableMatchesSolve(t *testing.T) {
 	}
 }
 
-func TestRepairBudgetDropDifferential(t *testing.T) {
-	g := models.MustByAbbr("GPTN-S").Build()
-	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
-	cfg := repairConfig()
-
-	r := SolveRepairable(g, caps, cfg)
-	for _, drop := range []units.Bytes{400 * units.MB, 250 * units.MB, 100 * units.MB} {
-		next := cfg
-		next.MPeak = drop
-		st, err := r.Repair(caps, next, RepairOptions{})
-		if err != nil {
-			t.Fatalf("repair to MPeak=%d: %v", drop, err)
-		}
-		cold := Solve(g, caps, next)
-		if !bytes.Equal(encodePlan(t, r.Plan()), encodePlan(t, cold)) {
-			t.Fatalf("repaired plan differs from cold solve at MPeak=%d (kept=%d resolved=%d)",
-				drop, st.WindowsKept, st.WindowsResolved)
-		}
-		if got := r.Plan().Stats.RepairRung; got != RungRepaired {
-			t.Fatalf("rung = %q, want %q", got, RungRepaired)
-		}
-	}
+// repairStep is one device-condition event: the in-flight budget and the
+// uniform capacity derate in force once it lands.
+type repairStep struct {
+	mpeak  units.Bytes
+	factor float64
 }
 
-func TestRepairThrottleDifferential(t *testing.T) {
-	g := models.MustByAbbr("GPTN-S").Build()
+// genRepairSteps generates n mixed events from base: each one steps the
+// budget, the capacity derate, or both, so sequences cover pure budget
+// drops and restores, pure thermal transitions, returns to earlier
+// states, and events that change both at once.
+func genRepairSteps(rng *rand.Rand, base units.Bytes, n int) []repairStep {
+	cur := repairStep{mpeak: base, factor: 1}
+	steps := make([]repairStep, n)
+	for i := range steps {
+		kind := rng.Intn(3)
+		if kind != 1 {
+			cur.mpeak = units.Bytes(2+rng.Intn(9)) * 50 * units.MB // 100–500 MB
+		}
+		if kind != 0 {
+			cur.factor = []float64{0.6, 0.7, 0.85, 1}[rng.Intn(4)]
+		}
+		steps[i] = cur
+	}
+	return steps
+}
+
+// TestRepairDifferential walks each model's Repairable through a sequence
+// of events and requires every repaired plan to equal, byte for byte, a
+// cold Solve of the same state. The first case is the fixed GPTN-S walk
+// of budget drops and thermal derates; the rest are generated from a seed
+// over several models, one of them a large model whose windows run
+// thousands of conflicts (skipped under -short).
+func TestRepairDifferential(t *testing.T) {
 	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
 	cfg := repairConfig()
+	base := cfg.MPeak
 
-	r := SolveRepairable(g, caps, cfg)
-	for _, f := range []float64{0.85, 0.6, 1.0} {
-		derated := scaledCapacity(caps, f)
-		if _, err := r.Repair(derated, cfg, RepairOptions{}); err != nil {
-			t.Fatalf("repair at capacity factor %v: %v", f, err)
-		}
-		cold := Solve(g, derated, cfg)
-		if !bytes.Equal(encodePlan(t, r.Plan()), encodePlan(t, cold)) {
-			t.Fatalf("repaired plan differs from cold solve at capacity factor %v", f)
-		}
+	type repairCase struct {
+		abbr  string
+		large bool
+		steps []repairStep
+	}
+	cases := []repairCase{{abbr: "GPTN-S", steps: []repairStep{
+		{400 * units.MB, 1}, {250 * units.MB, 1}, {100 * units.MB, 1},
+		{base, 0.85}, {base, 0.6}, {base, 1},
+	}}}
+	rng := rand.New(rand.NewSource(17))
+	small := []string{"GPTN-S", "ResNet", "ViT", "DeepViT", "DepthA-S"}
+	for i := 0; i < 4; i++ {
+		cases = append(cases, repairCase{abbr: small[rng.Intn(len(small))], steps: genRepairSteps(rng, base, 5)})
+	}
+	large := []string{"GPTN-1.3B", "GPTN-2.7B", "SD-UNet", "Whisper-M"}
+	cases = append(cases, repairCase{abbr: large[rng.Intn(len(large))], large: true, steps: genRepairSteps(rng, base, 3)})
+
+	for i, c := range cases {
+		t.Run(fmt.Sprintf("%d-%s", i, c.abbr), func(t *testing.T) {
+			if c.large && testing.Short() {
+				t.Skip("large model: skipped under -short")
+			}
+			g := models.MustByAbbr(c.abbr).Build()
+			r := SolveRepairable(g, caps, cfg)
+			for _, step := range c.steps {
+				next := cfg
+				next.MPeak = step.mpeak
+				derated := scaledCapacity(caps, step.factor)
+				st, err := r.Repair(derated, next, RepairOptions{})
+				if err != nil {
+					t.Fatalf("repair to %+v: %v", step, err)
+				}
+				cold := Solve(g, derated, next)
+				if !bytes.Equal(encodePlan(t, r.Plan()), encodePlan(t, cold)) {
+					t.Fatalf("repaired plan differs from cold solve at %+v (kept=%d resolved=%d)",
+						step, st.WindowsKept, st.WindowsResolved)
+				}
+				if got := r.Plan().Stats.RepairRung; got != RungRepaired {
+					t.Fatalf("rung = %q, want %q", got, RungRepaired)
+				}
+				t.Logf("MPeak %v, capacity ×%v: kept %d, re-solved %d windows",
+					step.mpeak, step.factor, st.WindowsKept, st.WindowsResolved)
+			}
+		})
 	}
 }
 
@@ -176,33 +220,6 @@ func TestRepairRejectsIncompatibleConfig(t *testing.T) {
 	next.ChunkSize = 2 * units.MB
 	if _, err := r.Repair(caps, next, RepairOptions{}); !errors.Is(err, ErrRepairIncompatible) {
 		t.Fatalf("chunk change: err = %v, want ErrRepairIncompatible", err)
-	}
-}
-
-// TestRepairImportNogoods exercises the PR-8 import surface on the repair
-// path. Imports may steer the CP to a different (equally valid) plan, so
-// the differential claim weakens to: the plan validates, and when both
-// solves prove optimality the objectives agree.
-func TestRepairImportNogoods(t *testing.T) {
-	g := models.MustByAbbr("GPTN-S").Build()
-	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
-	cfg := repairConfig()
-
-	r := SolveRepairable(g, caps, cfg)
-	next := cfg
-	next.MPeak = 250 * units.MB
-	if _, err := r.Repair(caps, next, RepairOptions{ImportNogoods: true}); err != nil {
-		t.Fatalf("warm repair: %v", err)
-	}
-	repaired := r.Plan()
-	if err := repaired.Validate(g, caps, next); err != nil {
-		t.Fatalf("warm-repaired plan invalid: %v", err)
-	}
-	cold := Solve(g, caps, next)
-	if repaired.Stats.Status == cpsat.Optimal && cold.Stats.Status == cpsat.Optimal {
-		if got, want := repaired.Objective(next.Lambda), cold.Objective(next.Lambda); got != want {
-			t.Fatalf("optimal objectives differ: repaired %v, cold %v", got, want)
-		}
 	}
 }
 

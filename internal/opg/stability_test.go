@@ -17,7 +17,7 @@ import (
 )
 
 // Plan-stability pin: the plans one SolverVersion produces are fixed.
-// Each model below is solved on the OnePlus 12 analytic capacities under
+// Each Table 6 model is solved on the OnePlus 12 analytic capacities under
 // a deterministic budget — the 5 s wall clock never binds, the 1500-branch
 // budget does, so some windows end FEASIBLE rather than OPTIMAL — and the
 // sha256 of its wire encoding must equal the digest recorded for the
@@ -25,27 +25,44 @@ import (
 // SolverVersion (so plan caches stop serving the old generation) and
 // record the new digests here; a bump that leaves plans alone re-labels
 // the same digests.
+//
+// Branches and Conflicts are pinned beside each digest: a solver change
+// that keeps the plans but moves the search (learning, clause-database
+// reduction, minimization) shows up here even when the digests hold. The
+// four large models reach thousands of conflicts, where those mechanisms
+// actually run.
 
 // pinnedVersion is the SolverVersion pinnedPlans belongs to. The lc-opg-6
 // digests are the lc-opg-5 ones unchanged: the bump changed the plan-key
 // format, not the plans.
 const pinnedVersion = "lc-opg-6"
 
-// pinnedPlans maps a model abbreviation to the sha256 of Plan.Encode. Each
-// pinned plan's compact encoding (Plan.Wire) must also equal Encode's
-// output compacted the way a JSON response compacts it.
-var pinnedPlans = map[string]string{
-	"GPTN-S":   "68b81d7dfaf9c3394caedd4a2896b9500cb7ee40355d00dbda7588206257bfad",
-	"ResNet":   "1183aa285dcf78f0666dcdf19cb1a712f27e16ac5bac022e1e68c61767b5684a",
-	"SAM-2":    "9a3505ce06a82af8553eea043d40a88138cce8437ea6435088a51a3f7e377661",
-	"ViT":      "717fd7142e8ce959d4172e2a4df90c1689b9ef9a750acf2617bf2eff855994e4",
-	"DeepViT":  "621d664fcfd3ef082ac1b7679f982f2b0e12b0565731becc5cf7bac9c75293cf",
-	"DepthA-S": "4fb2efc1cd0fbaccbdd2c21fdfe35418cb26ba6ca825aabff607aea1ac6065d0",
-	"DepthA-L": "67e2b832c826aa9231c2187547a85caf2f68b54838e530863746e7ec24135e7c",
+// pinnedPlan is one model's pinned solve: the sha256 of Plan.Encode and
+// the search counters that produced it. Each pinned plan's compact
+// encoding (Plan.Wire) must also equal Encode's output compacted the way a
+// JSON response compacts it.
+type pinnedPlan struct {
+	abbr      string
+	digest    string
+	branches  int64
+	conflicts int64
+	large     bool // skipped under -short
 }
 
-// pinnedOrder fixes the solve and report order.
-var pinnedOrder = []string{"GPTN-S", "ResNet", "SAM-2", "ViT", "DeepViT", "DepthA-S", "DepthA-L"}
+// pinnedPlans fixes the solve and report order.
+var pinnedPlans = []pinnedPlan{
+	{"GPTN-S", "68b81d7dfaf9c3394caedd4a2896b9500cb7ee40355d00dbda7588206257bfad", 1263, 112, false},
+	{"GPTN-1.3B", "b75fd1d3bdf004a724ebc85c50c45d82a1e1dd18c4ce893573302c7b13bf2a80", 30025, 10124, true},
+	{"GPTN-2.7B", "59b572cbefaff1c1077a5930494ee5d7021eb78dade16961d85cade3b530763c", 39000, 17745, true},
+	{"ResNet", "1183aa285dcf78f0666dcdf19cb1a712f27e16ac5bac022e1e68c61767b5684a", 1907, 434, false},
+	{"SAM-2", "9a3505ce06a82af8553eea043d40a88138cce8437ea6435088a51a3f7e377661", 8564, 1425, false},
+	{"ViT", "717fd7142e8ce959d4172e2a4df90c1689b9ef9a750acf2617bf2eff855994e4", 1447, 128, false},
+	{"DeepViT", "621d664fcfd3ef082ac1b7679f982f2b0e12b0565731becc5cf7bac9c75293cf", 2903, 254, false},
+	{"SD-UNet", "c7aa895c3c03ca687860f64cab1eea5bb35c532a3a3faa22c5d3136670f655d3", 27168, 9218, true},
+	{"Whisper-M", "14f29061c70749ae83c1288de509e08760441905045b716de4d72fffda394c61", 21130, 7377, true},
+	{"DepthA-S", "4fb2efc1cd0fbaccbdd2c21fdfe35418cb26ba6ca825aabff607aea1ac6065d0", 1331, 41, false},
+	{"DepthA-L", "67e2b832c826aa9231c2187547a85caf2f68b54838e530863746e7ec24135e7c", 7120, 1852, false},
+}
 
 func TestPlanStabilityPin(t *testing.T) {
 	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
@@ -56,21 +73,31 @@ func TestPlanStabilityPin(t *testing.T) {
 	var table strings.Builder
 	var moved []string
 	var last *Plan
-	for _, abbr := range pinnedOrder {
-		plan := Solve(models.MustByAbbr(abbr).Build(), caps, cfg)
+	for _, pin := range pinnedPlans {
+		if pin.large && testing.Short() {
+			continue
+		}
+		plan := Solve(models.MustByAbbr(pin.abbr).Build(), caps, cfg)
 		var buf bytes.Buffer
 		if err := plan.Encode(&buf); err != nil {
-			t.Fatalf("%s: encode: %v", abbr, err)
+			t.Fatalf("%s: encode: %v", pin.abbr, err)
 		}
 		if err := checkWireParity(plan); err != nil {
-			t.Errorf("%s: %v", abbr, err)
+			t.Errorf("%s: %v", pin.abbr, err)
 		}
 		last = plan
 		sum := sha256.Sum256(buf.Bytes())
-		got := hex.EncodeToString(sum[:])
-		fmt.Fprintf(&table, "\t%-11s %q,\n", strconv.Quote(abbr)+":", got)
-		if got != pinnedPlans[abbr] {
-			moved = append(moved, abbr)
+		got := pinnedPlan{
+			abbr:      pin.abbr,
+			digest:    hex.EncodeToString(sum[:]),
+			branches:  plan.Stats.Branches,
+			conflicts: plan.Stats.Conflicts,
+			large:     pin.large,
+		}
+		fmt.Fprintf(&table, "\t{%s, %q, %d, %d, %v},\n",
+			strconv.Quote(got.abbr), got.digest, got.branches, got.conflicts, got.large)
+		if got != pin {
+			moved = append(moved, pin.abbr)
 		}
 	}
 	// A model name with HTML-special characters pins that both encodings
@@ -86,7 +113,7 @@ func TestPlanStabilityPin(t *testing.T) {
 			SolverVersion, pinnedVersion, table.String())
 	}
 	if len(moved) > 0 {
-		t.Fatalf("plans of %v changed under SolverVersion %q: bump SolverVersion and record the digests again:\n%s",
+		t.Fatalf("plans or search counters of %v changed under SolverVersion %q: a moved digest needs a SolverVersion bump; record the new pins:\n%s",
 			moved, SolverVersion, table.String())
 	}
 }

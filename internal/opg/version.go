@@ -19,7 +19,9 @@ package opg
 // engines, the learning-mode selector and the warm-recommit mode are gone.
 // Plans are byte-identical to lc-opg-5's default (CDCL) plans, but
 // core.PlanKey no longer salts a learning mode, so the key format changed
-// and lc-opg-5 snapshot keys can never hit.
+// and lc-opg-5 snapshot keys can never hit. Removing the opt-in nogood
+// transfer between repair re-solves kept this version: default solves never
+// imported nogoods, and the pin's digests and search counters did not move.
 //
 // lc-opg-5: true CDCL in cpsat — a reason-recorded trail, first-UIP
 // conflict analysis with self-subsumption minimization, non-chronological

@@ -237,23 +237,8 @@ type windowStats struct {
 	buildTime, solveTime                         time.Duration
 	branches, wakes, trailOps, nogoods, restarts int64
 	conflicts, backjumps, minimizedLits          int64
-	importedNogoods                              int64
 	fallbacks                                    FallbackStats
 	degraded                                     bool // plan not proven optimal
-}
-
-// rungRecord captures one CP rung of a repairable solve for warm-started
-// repair: the model it was built against, the pure (objective-free) nogoods
-// the solve exported, and whether the rung was proven infeasible. A later
-// re-solve of the same window replays the same ladder; when its rung model
-// is uniformly at-least-as-tight (cpsat.ImportCompatible), the exported
-// nogoods are still valid cuts, and a proven-infeasible rung is still
-// infeasible without solving.
-type rungRecord struct {
-	relax      float64
-	model      *cpsat.Model
-	nogoods    []cpsat.Nogood
-	infeasible bool
 }
 
 // windowResult is a window solve's complete effect: plan entries, state
@@ -265,11 +250,6 @@ type windowResult struct {
 	inAdd   []int64
 	stats   windowStats
 	trace   []readRec
-
-	// rungs is the per-rung export record, populated only on repairable
-	// solves (solveWindowRecorded): only a repair re-solve can be warmed
-	// from it, so recording anywhere else would be dead weight.
-	rungs []rungRecord
 
 	// wallClocked marks a solve some CP rung of which hit its wall-clock
 	// budget: the result is timing-dependent, so the pipeline never commits
@@ -331,14 +311,6 @@ type winSolver struct {
 	win window
 	res *windowResult
 
-	// warm is the retained result a repair re-solve replaces (repair path
-	// under RepairOptions.ImportNogoods only): its rung records seed
-	// matching CP rungs with imported nogoods or skip rungs it proved
-	// infeasible. recordExports marks the converse role — a repairable
-	// solve that captures rung records for a potential warm re-solve.
-	warm          *windowResult
-	recordExports bool
-
 	// bearing memoizes per-layer capacity-bearing status over [off, end):
 	// 0 unprobed, 1 bearing, 2 empty. The ladder's CP rungs never mutate
 	// capacity, so each layer is probed (and traced) at most once per
@@ -385,7 +357,8 @@ func (ws *winSolver) finish() *windowResult {
 }
 
 // solveWindow runs one window's ladder and returns its complete effect.
-// traced records the canonical reads a speculative result is validated by.
+// traced records the canonical reads a speculative result is validated by
+// and a repair replays.
 func solveWindow(cfg *Config, win window, baseCap []int, baseIn []int64, traced bool) *windowResult {
 	ws := newWinSolver(cfg, win, baseCap, baseIn, traced)
 	ws.solveBatch(win.batch)
@@ -671,33 +644,12 @@ func (ws *winSolver) tryCP(batch []weightItem, cands [][]graph.NodeID, relax flo
 	}
 
 	m.Minimize(objVars, objCoefs)
-
-	// Warm repair: match this rung against the retained solve's records. A
-	// record applies when it ran at the same relaxation and this model is
-	// uniformly at-least-as-tight as its model — then a rung the retained
-	// solve proved infeasible is infeasible here too (skip the solve
-	// outright), and its exported objective-free nogoods are valid cuts.
-	var imports []cpsat.Nogood
-	if ws.warm != nil {
-		for i := range ws.warm.rungs {
-			rr := &ws.warm.rungs[i]
-			if rr.relax == relax && cpsat.ImportCompatible(rr.model, m) {
-				if rr.infeasible {
-					ws.res.stats.buildTime += time.Since(tBuild)
-					return false, true
-				}
-				imports = rr.nogoods
-				break
-			}
-		}
-	}
 	ws.res.stats.buildTime += time.Since(tBuild)
 
 	tSolve := time.Now()
 	res := m.Solve(cpsat.Options{
 		TimeLimit:   cfg.SolveTimeout,
 		MaxBranches: cfg.MaxBranches,
-		Import:      imports,
 	})
 	ws.res.stats.solveTime += time.Since(tSolve)
 	ws.res.stats.branches += res.Branches
@@ -708,17 +660,8 @@ func (ws *winSolver) tryCP(batch []weightItem, cands [][]graph.NodeID, relax flo
 	ws.res.stats.conflicts += res.Conflicts
 	ws.res.stats.backjumps += res.Backjumps
 	ws.res.stats.minimizedLits += res.MinimizedLits
-	ws.res.stats.importedNogoods += res.ImportedNogoods
 	if res.TimedOut {
 		ws.res.wallClocked = true
-	}
-	if ws.recordExports {
-		ws.res.rungs = append(ws.res.rungs, rungRecord{
-			relax:      relax,
-			model:      m,
-			nogoods:    res.Learned,
-			infeasible: res.Status == cpsat.Infeasible,
-		})
 	}
 
 	if res.Status != cpsat.Optimal && res.Status != cpsat.Feasible {
