@@ -81,12 +81,55 @@ func genRepairSteps(rng *rand.Rand, base units.Bytes, n int) []repairStep {
 	return steps
 }
 
-// TestRepairDifferential walks each model's Repairable through a sequence
-// of events and requires every repaired plan to equal, byte for byte, a
-// cold Solve of the same state. The first case is the fixed GPTN-S walk
-// of budget drops and thermal derates; the rest are generated from a seed
-// over several models, one of them a large model whose windows run
-// thousands of conflicts (skipped under -short).
+// walkRepairs repairs one Repairable of g through steps and requires every
+// repaired plan to equal, byte for byte, a cold Solve of the same state.
+func walkRepairs(t *testing.T, g *graph.Graph, caps Capacity, cfg Config, steps []repairStep) {
+	t.Helper()
+	r := SolveRepairable(g, caps, cfg)
+	for _, step := range steps {
+		next := cfg
+		next.MPeak = step.mpeak
+		derated := scaledCapacity(caps, step.factor)
+		st, err := r.Repair(derated, next, RepairOptions{})
+		if err != nil {
+			t.Fatalf("repair to %+v: %v", step, err)
+		}
+		cold := Solve(g, derated, next)
+		if !bytes.Equal(encodePlan(t, r.Plan()), encodePlan(t, cold)) {
+			t.Fatalf("repaired plan differs from cold solve at %+v (kept=%d resolved=%d)",
+				step, st.WindowsKept, st.WindowsResolved)
+		}
+		if got := r.Plan().Stats.RepairRung; got != RungRepaired {
+			t.Fatalf("rung = %q, want %q", got, RungRepaired)
+		}
+		t.Logf("MPeak %v, capacity ×%v: kept %d, re-solved %d windows",
+			step.mpeak, step.factor, st.WindowsKept, st.WindowsResolved)
+	}
+}
+
+// TestRepairBudgetDropDifferential walks GPTN-S down a fixed series of
+// M_peak steps at full capacity.
+func TestRepairBudgetDropDifferential(t *testing.T) {
+	walkRepairs(t, models.MustByAbbr("GPTN-S").Build(),
+		profiler.AnalyticCapacityFunc(device.OnePlus12()), repairConfig(), []repairStep{
+			{400 * units.MB, 1}, {250 * units.MB, 1}, {100 * units.MB, 1},
+		})
+}
+
+// TestRepairThrottleDifferential walks GPTN-S through a fixed series of
+// capacity derates at the default M_peak.
+func TestRepairThrottleDifferential(t *testing.T) {
+	cfg := repairConfig()
+	walkRepairs(t, models.MustByAbbr("GPTN-S").Build(),
+		profiler.AnalyticCapacityFunc(device.OnePlus12()), cfg, []repairStep{
+			{cfg.MPeak, 0.85}, {cfg.MPeak, 0.6}, {cfg.MPeak, 1},
+		})
+}
+
+// TestRepairDifferential runs walkRepairs on event sequences generated
+// from a seed over several models, one of them a large model whose
+// windows run thousands of conflicts (skipped under -short). The fixed
+// GPTN-S walks are the two tests above.
 func TestRepairDifferential(t *testing.T) {
 	caps := profiler.AnalyticCapacityFunc(device.OnePlus12())
 	cfg := repairConfig()
@@ -97,10 +140,7 @@ func TestRepairDifferential(t *testing.T) {
 		large bool
 		steps []repairStep
 	}
-	cases := []repairCase{{abbr: "GPTN-S", steps: []repairStep{
-		{400 * units.MB, 1}, {250 * units.MB, 1}, {100 * units.MB, 1},
-		{base, 0.85}, {base, 0.6}, {base, 1},
-	}}}
+	var cases []repairCase
 	rng := rand.New(rand.NewSource(17))
 	small := []string{"GPTN-S", "ResNet", "ViT", "DeepViT", "DepthA-S"}
 	for i := 0; i < 4; i++ {
@@ -114,27 +154,7 @@ func TestRepairDifferential(t *testing.T) {
 			if c.large && testing.Short() {
 				t.Skip("large model: skipped under -short")
 			}
-			g := models.MustByAbbr(c.abbr).Build()
-			r := SolveRepairable(g, caps, cfg)
-			for _, step := range c.steps {
-				next := cfg
-				next.MPeak = step.mpeak
-				derated := scaledCapacity(caps, step.factor)
-				st, err := r.Repair(derated, next, RepairOptions{})
-				if err != nil {
-					t.Fatalf("repair to %+v: %v", step, err)
-				}
-				cold := Solve(g, derated, next)
-				if !bytes.Equal(encodePlan(t, r.Plan()), encodePlan(t, cold)) {
-					t.Fatalf("repaired plan differs from cold solve at %+v (kept=%d resolved=%d)",
-						step, st.WindowsKept, st.WindowsResolved)
-				}
-				if got := r.Plan().Stats.RepairRung; got != RungRepaired {
-					t.Fatalf("rung = %q, want %q", got, RungRepaired)
-				}
-				t.Logf("MPeak %v, capacity ×%v: kept %d, re-solved %d windows",
-					step.mpeak, step.factor, st.WindowsKept, st.WindowsResolved)
-			}
+			walkRepairs(t, models.MustByAbbr(c.abbr).Build(), caps, cfg, c.steps)
 		})
 	}
 }
